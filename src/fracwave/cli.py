@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .core import DomainError, FractionalOrder, Tolerance
@@ -193,27 +192,25 @@ def write_field_csv(field: Field2D, path: str | Path) -> None:
 
 
 # --- subcommands ----------------------------------------------------------------
+# Subcommands raise; main() maps the exceptions to exit codes.
+
+
+def _check_grid_flags(args) -> None:
+    for flag in ("nx", "nt", "tol"):
+        value = getattr(args, flag)
+        if value is not None and not value > 0:
+            raise ProblemFileError(f"--{flag} must be positive, got {value!r}")
+
+
+def _grid(args, nx: int, nt: int) -> tuple[int, int]:
+    """Grid sizes from --nx/--nt, falling back to the given defaults."""
+    return (nx if args.nx is None else args.nx, nt if args.nt is None else args.nt)
 
 
 def cmd_solve(args) -> int:
-    try:
-        pf = load_problem_file(args.problem)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    nx = args.nx or pf.nx
-    nt = args.nt or pf.nt
-    pf = _override_tol(pf, args.tol)
-    try:
-        field = evaluate_field(_solve(pf), nx, nt)
-    except (QuadratureError, EvaluationError, DomainError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    try:
-        write_field_csv(field, args.out)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    pf = _override_tol(load_problem_file(args.problem), args.tol)
+    field = evaluate_field(_solve(pf), *_grid(args, pf.nx, pf.nt))
+    write_field_csv(field, args.out)
     return EXIT_OK
 
 
@@ -225,67 +222,51 @@ def _override_tol(pf: ProblemFile, tol: float | None) -> ProblemFile:
 
 
 def cmd_verify(args) -> int:
-    try:
-        pf = load_problem_file(args.problem)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    pf = _override_tol(pf, args.tol)
-    base_nx = args.nx or 64
-    base_nt = args.nt or 64
+    pf = _override_tol(load_problem_file(args.problem), args.tol)
+    base_nx, base_nt = _grid(args, 64, 64)
     report: dict = {"schema_version": SCHEMA_VERSION, "problem": str(args.problem),
                     "alpha": pf.problem.alpha, "equation": pf.equation}
     failures: list[str] = []
-    try:
-        sol = _solve(pf)
-        candidate = getattr(args, "candidate_form", "quadrature")
-        subject = sol
-        if candidate != "quadrature":
-            forms = candidate_product_forms(pf.problem)
-            if forms is None or candidate not in forms:
-                print(
-                    f"error: --candidate-form {candidate} requires a problem matching "
-                    "one of the worked example shapes",
-                    file=sys.stderr,
-                )
-                return EXIT_INPUT
-            subject = forms[candidate]
-            report["candidate_form"] = candidate
+    sol = _solve(pf)
+    candidate = getattr(args, "candidate_form", "quadrature")
+    subject = sol
+    if candidate != "quadrature":
+        forms = candidate_product_forms(pf.problem)
+        if forms is None or candidate not in forms:
+            raise ProblemFileError(
+                f"--candidate-form {candidate} requires a problem matching "
+                "one of the worked example shapes"
+            )
+        subject = forms[candidate]
+        report["candidate_form"] = candidate
 
-        ic = check_initial_conditions(pf.problem, subject)
-        report["initial_conditions"] = ic.to_dict()
-        if not ic.passed:
-            failures.append("initial-condition check failed")
+    ic = check_initial_conditions(pf.problem, subject)
+    report["initial_conditions"] = ic.to_dict()
+    if not ic.passed:
+        failures.append("initial-condition check failed")
 
-        if pf.equation == "dalembert":
-            resid = pde_residual(pf.problem, subject, base_nx, base_nt)
-            report["residual"] = resid.to_dict()
-            if not resid.monotone:
-                failures.append("residual did not decrease under grid refinement")
-            forms_report = compare_candidate_forms(pf.problem, sol)
-            if forms_report is not None:
-                report["candidate_forms"] = forms_report.to_dict()
-            report["route_equivalence"] = {"applicable": False}
-        else:
-            deviation = route_equivalence(pf.problem)
-            report["route_equivalence"] = {
-                "applicable": True,
-                "max_deviation": deviation,
-                "tol": 1e-12,
-            }
-            if deviation > 1e-12:
-                failures.append("characteristics and transform routes disagree")
-    except (QuadratureError, EvaluationError, DomainError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if pf.equation == "dalembert":
+        resid = pde_residual(pf.problem, subject, base_nx, base_nt)
+        report["residual"] = resid.to_dict()
+        if not resid.monotone:
+            failures.append("residual did not decrease under grid refinement")
+        forms_report = compare_candidate_forms(pf.problem, sol)
+        if forms_report is not None:
+            report["candidate_forms"] = forms_report.to_dict()
+        report["route_equivalence"] = {"applicable": False}
+    else:
+        deviation = route_equivalence(pf.problem)
+        report["route_equivalence"] = {
+            "applicable": True,
+            "max_deviation": deviation,
+            "tol": 1e-12,
+        }
+        if deviation > 1e-12:
+            failures.append("characteristics and transform routes disagree")
 
     report["failures"] = failures
     report["passed"] = not failures
-    try:
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(_verify_text_block(report))
     return EXIT_OK if not failures else EXIT_VERIFY
 
@@ -350,62 +331,42 @@ def _example_problem(example: int, alpha: float) -> WaveProblem:
 def cmd_figures(args) -> int:
     outdir = Path(args.out)
     cfg = QuadratureConfig(1024, Tolerance(args.tol if args.tol is not None else 1e-12, 0.0))
-    nx = args.nx or 65
-    nt = args.nt or 65
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for example in (1, 2):
-            for alpha in FIGURE_ALPHAS:
-                problem = _example_problem(example, alpha)
-                field = evaluate_field(solve_dalembert(problem, cfg), nx, nt)
-                write_field_csv(field, outdir / f"example{example}_alpha{alpha:g}.csv")
-        (outdir / "README.md").write_text(_FIGURES_README)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (QuadratureError, EvaluationError, DomainError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    nx, nt = _grid(args, 65, 65)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for example in (1, 2):
+        for alpha in FIGURE_ALPHAS:
+            problem = _example_problem(example, alpha)
+            field = evaluate_field(solve_dalembert(problem, cfg), nx, nt)
+            write_field_csv(field, outdir / f"example{example}_alpha{alpha:g}.csv")
+    (outdir / "README.md").write_text(_FIGURES_README)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    try:
-        pf = load_problem_file(args.problem)
-        alphas = []
-        for tok in args.alphas.split(","):
-            try:
-                alpha = float(tok)
-            except ValueError:
-                raise ProblemFileError(f"alpha list entry {tok!r} is not a number") from None
-            if not 0.0 < alpha <= 1.0:
-                raise ProblemFileError(f"alpha {alpha} outside (0, 1]")
-            alphas.append(alpha)
-        if not alphas:
-            raise ProblemFileError("empty alpha list")
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    nx = args.nx or pf.nx
-    nt = args.nt or pf.nt
+    pf = load_problem_file(args.problem)
+    alphas = []
+    for tok in args.alphas.split(","):
+        try:
+            alpha = float(tok)
+        except ValueError:
+            raise ProblemFileError(f"alpha list entry {tok!r} is not a number") from None
+        if not 0.0 < alpha <= 1.0:
+            raise ProblemFileError(f"alpha {alpha} outside (0, 1]")
+        alphas.append(alpha)
+    if not alphas:
+        raise ProblemFileError("empty alpha list")
+    nx, nt = _grid(args, pf.nx, pf.nt)
     pf = _override_tol(pf, args.tol)
     outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for alpha in alphas:
-            base = pf.problem
-            problem = WaveProblem(
-                FractionalOrder(alpha), base.speed, base.f, base.g, base.x_max, base.t_max
-            )
-            sub = ProblemFile(problem, nx, nt, pf.equation, pf.cfg)
-            field = evaluate_field(_solve(sub), nx, nt)
-            write_field_csv(field, outdir / f"alpha_{alpha:g}.csv")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (QuadratureError, EvaluationError, DomainError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    outdir.mkdir(parents=True, exist_ok=True)
+    for alpha in alphas:
+        base = pf.problem
+        problem = WaveProblem(
+            FractionalOrder(alpha), base.speed, base.f, base.g, base.x_max, base.t_max
+        )
+        sub = ProblemFile(problem, nx, nt, pf.equation, pf.cfg)
+        field = evaluate_field(_solve(sub), nx, nt)
+        write_field_csv(field, outdir / f"alpha_{alpha:g}.csv")
     return EXIT_OK
 
 
@@ -460,7 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        _check_grid_flags(args)
+        return args.func(args)
+    except ProblemFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (QuadratureError, EvaluationError, DomainError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -107,16 +107,17 @@ def _singular_integral(fn: Callable, mu: float, upper: float, n: int) -> float:
     return out
 
 
-def _difference_step(x: float) -> float:
-    # step policy for every outer/inner numerical derivative in this module
-    return max(1e-5 * abs(x), 1e-8)
+def _difference_step(x):
+    # step policy for every outer/inner numerical derivative in this module;
+    # elementwise on arrays
+    return np.maximum(1e-5 * np.abs(x), 1e-8)
 
 
 def _one_sided_or_central(w: Callable, x: float) -> float:
     """d/dx of w at x >= 0, falling back to a forward difference when x - h
     would leave the domain (this defines values at the left terminal as limits
     from the right)."""
-    h = _difference_step(x)
+    h = float(_difference_step(x))
     if x - h < 0.0:
         return (w(x + h) - w(x)) / h
     return (w(x + h) - w(x - h)) / (2.0 * h)
@@ -125,7 +126,7 @@ def _one_sided_or_central(w: Callable, x: float) -> float:
 def _fn_derivative_on(fn: Callable, nodes: np.ndarray) -> np.ndarray:
     """Pointwise numerical derivative of fn at non-negative nodes, forward
     differencing where a central stencil would dip below 0."""
-    h = np.maximum(1e-5 * np.abs(nodes), 1e-8)
+    h = _difference_step(nodes)
     forward = nodes - h < 0.0
     left = np.where(forward, nodes, nodes - h)
     right = nodes + h

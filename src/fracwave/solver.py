@@ -15,10 +15,10 @@ from typing import Literal as TypingLiteral
 
 import numpy as np
 
-from .core import DomainError, FractionalOrder, as_order, gamma
+from .core import DomainError, FractionalOrder, as_order
 from .expr import Expression, evaluate
 from .fracops import DEFAULT_CONFIG, QuadratureConfig, QuadratureError
-from .transform import TransformSpec
+from .transform import TransformSpec, fractal_scale
 
 SUBDIVISION_BUDGET = 2 ** 20  # per requested integral
 _CHUNK = 4096  # grid points per evaluation batch; fixed for determinism
@@ -169,17 +169,14 @@ class WaveProblem:
         return self.transform.p ** self.alpha * self.transform.q ** self.alpha
 
     def scaled_coords(self, x, t):
-        g1a = gamma(1.0 + self.alpha)
-        return np.power(x, self.alpha) / g1a, np.power(t, self.alpha) / g1a
+        return fractal_scale(x, self.alpha), fractal_scale(t, self.alpha)
 
     def scaled_argument_range(self) -> tuple[float, float]:
         """Range of profile arguments reachable from the domain corners."""
-        g1a = gamma(1.0 + self.alpha)
-        xp = self.x_max ** self.alpha / g1a
-        tp = self.t_max ** self.alpha / g1a
+        xp, tp = self.scaled_coords(self.x_max, self.t_max)
         s = self.argument_scale
         c_a = self.wave_scale
-        return s * (0.0 - c_a * tp), s * (xp + c_a * tp)
+        return float(s * (0.0 - c_a * tp)), float(s * (xp + c_a * tp))
 
 
 def characteristic_constant(
@@ -190,7 +187,7 @@ def characteristic_constant(
     alpha = as_order(order).alpha
     if x < 0.0 or t < 0.0:
         raise DomainError("characteristics are defined on x >= 0, t >= 0")
-    return (x ** alpha - (c ** alpha) * t ** alpha) / gamma(1.0 + alpha)
+    return float(fractal_scale(x, alpha) - c ** alpha * fractal_scale(t, alpha))
 
 
 @dataclass(frozen=True)
@@ -239,22 +236,23 @@ class ClosedFormSolution:
     def forward_profile(self, y: float) -> float:
         """Component travelling toward -x: half the displacement profile plus
         half the scaled antiderivative of the velocity profile."""
-        self._require_dalembert()
-        prob = self.problem
-        half_int = g_integral(prob.g, 0.0, y, self.cfg) / (2.0 * prob.wave_scale * prob.argument_scale)
-        return 0.5 * evaluate(prob.f, y) + half_int
+        half_f, half_int = self._profile_halves(y)
+        return half_f + half_int
 
     def backward_profile(self, y: float) -> float:
         """Component travelling toward +x: half the displacement profile minus
         half the scaled antiderivative of the velocity profile."""
-        self._require_dalembert()
-        prob = self.problem
-        half_int = g_integral(prob.g, 0.0, y, self.cfg) / (2.0 * prob.wave_scale * prob.argument_scale)
-        return 0.5 * evaluate(prob.f, y) - half_int
+        half_f, half_int = self._profile_halves(y)
+        return half_f - half_int
 
-    def _require_dalembert(self) -> None:
+    def _profile_halves(self, y: float) -> tuple[float, float]:
+        """Half the displacement profile at y, and half the scaled
+        antiderivative of the velocity profile from 0 to y."""
         if self.kind != "dalembert":
             raise DomainError("profile components exist only for the dalembert kind")
+        prob = self.problem
+        half_int = g_integral(prob.g, 0.0, y, self.cfg) / (2.0 * prob.wave_scale * prob.argument_scale)
+        return 0.5 * evaluate(prob.f, y), half_int
 
 
 def solve_first_order(problem: WaveProblem) -> ClosedFormSolution:
@@ -301,14 +299,11 @@ class Field2D:
             raise DomainError("field contains non-finite values")
 
 
-def evaluate_field(sol: ClosedFormSolution, nx: int, nt: int) -> Field2D:
-    """Evaluate on the uniform nx-by-nt point grid spanning
-    [0, x_max] x [0, t_max].  Deterministic: fixed traversal and batching."""
-    if nx < 2 or nt < 2:
-        raise DomainError("need at least 2 grid points per axis")
-    prob = sol.problem
-    xs = np.linspace(0.0, prob.x_max, nx)
-    ts = np.linspace(0.0, prob.t_max, nt)
+def evaluate_grid(sol, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """u on the tensor grid of xs and ts, as an (ts.size, xs.size) array whose
+    row j holds time ts[j].  sol needs only an evaluate_many(x, t) method.
+    Points are visited t-major in fixed batches of _CHUNK, so the result is
+    deterministic and, for the closed forms, identical to one big batch."""
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     flat_x = xx.ravel()
     flat_t = tt.ravel()
@@ -316,4 +311,15 @@ def evaluate_field(sol: ClosedFormSolution, nx: int, nt: int) -> Field2D:
     for start in range(0, flat_x.size, _CHUNK):
         stop = min(start + _CHUNK, flat_x.size)
         values[start:stop] = sol.evaluate_many(flat_x[start:stop], flat_t[start:stop])
-    return Field2D(xs, ts, values.reshape(nt, nx))
+    return values.reshape(tt.shape)
+
+
+def evaluate_field(sol: ClosedFormSolution, nx: int, nt: int) -> Field2D:
+    """Evaluate on the uniform nx-by-nt point grid spanning
+    [0, x_max] x [0, t_max]."""
+    if nx < 2 or nt < 2:
+        raise DomainError("need at least 2 grid points per axis")
+    prob = sol.problem
+    xs = np.linspace(0.0, prob.x_max, nx)
+    ts = np.linspace(0.0, prob.t_max, nt)
+    return Field2D(xs, ts, evaluate_grid(sol, xs, ts))

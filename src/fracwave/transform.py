@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .core import DomainError, FractionalOrder, as_order, gamma
 
 
@@ -41,13 +43,20 @@ class FractalCoords:
             raise DomainError("scaled coordinates are non-negative by construction")
 
 
+def fractal_scale(v, alpha: float):
+    """The scaling map v^alpha / gamma(1 + alpha), elementwise on scalars or
+    arrays.  Every scaled coordinate in the package is computed here."""
+    return np.power(v, alpha) / gamma(1.0 + alpha)
+
+
 def to_fractal(x: float, t: float, spec: TransformSpec) -> FractalCoords:
     """Map physical (x, t) with x, t >= 0 into the scaled frame."""
     if x < 0.0 or t < 0.0:
         raise DomainError(f"transform domain is x >= 0, t >= 0; got ({x!r}, {t!r})")
     alpha = spec.order.alpha
-    g = gamma(1.0 + alpha)
-    return FractalCoords((spec.p * x) ** alpha / g, (spec.q * t) ** alpha / g)
+    return FractalCoords(
+        float(fractal_scale(spec.p * x, alpha)), float(fractal_scale(spec.q * t, alpha))
+    )
 
 
 def from_fractal(coords: FractalCoords, spec: TransformSpec) -> tuple[float, float]:

@@ -16,16 +16,17 @@ from .core import DomainError, Tolerance, gamma
 from .expr import Func, Literal, Pow, Var, evaluate
 from .fracops import QuadratureConfig, _kernel_node_weights, grid_operator_matrix
 from .solver import (
-    _CHUNK,
     ClosedFormSolution,
     WaveProblem,
     evaluate_field,
+    evaluate_grid,
     solve_dalembert,
     solve_first_order,
 )
-from .transform import TransformSpec, to_fractal
+from .transform import TransformSpec, fractal_scale
 
 RESIDUAL_FLOOR = 1e-8  # below this, refinement levels count as converged
+VELOCITY_WINDOW = 1e-8  # width h of the one-sided window of the t = 0 velocity probe
 
 
 @dataclass(frozen=True)
@@ -82,22 +83,23 @@ class InitialConditionReport:
         }
 
 
-def alpha_velocity_at_zero(
-    u_of_t: Callable, alpha: float, n_panels: int = 512
-) -> float:
+def alpha_velocity_at_zero(u_of_t: Callable, alpha: float, n_panels: int = 512):
     """Fractional time derivative of order alpha of u(t) at t = 0, as the
     limit from the right: one-sided differencing of the kernel convolution of
     u - u(0) over a vanishing window, product-integrated on n_panels panels.
 
-    u_of_t must accept an ndarray of times.
+    u_of_t maps the ndarray of window times to samples along its last axis;
+    the result has the shape of the remaining axes (a float for 1-D samples).
     """
-    h = 1e-8
+    h = VELOCITY_WINDOW
     nodes = np.linspace(0.0, h, n_panels + 1)
-    u = np.asarray(u_of_t(nodes), dtype=float)
+    du = np.asarray(u_of_t(nodes), dtype=float)
+    du = du - du[..., :1]
     if alpha == 1.0:
-        return float((u[-1] - u[0]) / h)
-    w = _kernel_node_weights(1.0 - alpha, h, n_panels)
-    return float(w @ (u - u[0])) / (h * gamma(1.0 - alpha))
+        vel = du[..., -1] / h
+    else:
+        vel = du @ _kernel_node_weights(1.0 - alpha, h, n_panels) / (h * gamma(1.0 - alpha))
+    return float(vel) if vel.ndim == 0 else vel
 
 
 def check_initial_conditions(
@@ -129,16 +131,10 @@ def check_initial_conditions(
 
     probe = _tightened(sol)
     g_target = np.asarray(evaluate(problem.g, xp), dtype=float)
-    nodes = np.linspace(0.0, 1e-8, n_panels + 1)
-    flat_t = np.tile(nodes, nx)
-    flat_x = np.repeat(xs, nodes.size)
-    u_all = probe.evaluate_many(flat_x, flat_t).reshape(nx, nodes.size)
-    alpha = problem.alpha
-    if alpha == 1.0:
-        vel = (u_all[:, -1] - u_all[:, 0]) / 1e-8
-    else:
-        w = _kernel_node_weights(1.0 - alpha, 1e-8, n_panels)
-        vel = (u_all - u_all[:, :1]) @ w / (1e-8 * gamma(1.0 - alpha))
+    # one row of window samples per x, laid out row-major for the kernel matmul
+    vel = alpha_velocity_at_zero(
+        lambda ts: evaluate_grid(probe, xs, ts).T.copy(), problem.alpha, n_panels
+    )
     vel_err = float(np.abs(vel - g_target).max())
     vel_pass = vel_err <= velocity_tol
     return InitialConditionReport(
@@ -230,7 +226,9 @@ def pde_residual(
     for level in range(levels):
         ncx = nx * 2 ** level
         nct = nt * 2 ** level
-        u = _dense(sol, prob, ncx + 1, nct + 1)
+        xs = np.linspace(0.0, prob.x_max, ncx + 1)
+        ts = np.linspace(0.0, prob.t_max, nct + 1)
+        u = evaluate_grid(sol, xs, ts)
         mt = grid_operator_matrix(nct, prob.t_max / nct, alpha)
         mx = grid_operator_matrix(ncx, prob.x_max / ncx, alpha)
         d2t = mt @ (mt @ u)
@@ -267,18 +265,6 @@ def pde_residual(
     return ResidualReport(alpha, collar_cells, tuple(out), slope, monotone, tuple(notes))
 
 
-def _dense(sol, prob: WaveProblem, nx: int, nt: int) -> np.ndarray:
-    xs = np.linspace(0.0, prob.x_max, nx)
-    ts = np.linspace(0.0, prob.t_max, nt)
-    tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    flat_x, flat_t = xx.ravel(), tt.ravel()
-    values = np.empty(flat_x.size)
-    for start in range(0, flat_x.size, _CHUNK):
-        stop = min(start + _CHUNK, flat_x.size)
-        values[start:stop] = sol.evaluate_many(flat_x[start:stop], flat_t[start:stop])
-    return values.reshape(nt, nx)
-
-
 # --- route equivalence ------------------------------------------------------------
 
 
@@ -290,18 +276,13 @@ def route_equivalence(
     over random points of the domain.  Both are the same closed form, so this
     guards against the two code paths drifting apart."""
     rng = np.random.default_rng(seed)
-    sol = solve_first_order(problem)
+    x, t = (rng.random((n_samples, 2)) * (problem.x_max, problem.t_max)).T
+    u_char = solve_first_order(problem).evaluate_many(x, t)
     spec = TransformSpec(problem.order)
-    c_a = problem.wave_scale
-    worst = 0.0
-    for _ in range(n_samples):
-        x = float(rng.uniform(0.0, problem.x_max))
-        t = float(rng.uniform(0.0, problem.t_max))
-        u_char = sol.evaluate(x, t)
-        coords = to_fractal(x, t, spec)
-        u_transform = evaluate(problem.f, coords.X - c_a * coords.T)
-        worst = max(worst, abs(u_char - u_transform))
-    return worst
+    xp = fractal_scale(spec.p * x, spec.order.alpha)
+    tp = fractal_scale(spec.q * t, spec.order.alpha)
+    u_transform = evaluate(problem.f, xp - problem.wave_scale * tp)
+    return float(np.abs(u_char - u_transform).max(initial=0.0))
 
 
 # --- stability ----------------------------------------------------------------------
@@ -371,7 +352,7 @@ def stability_check(
     alpha = p1.alpha
     horizon = p1.t_max
     bound_paper = delta * (1.0 + horizon ** alpha)
-    bound_derived = delta * (1.0 + horizon ** alpha / gamma(1.0 + alpha))
+    bound_derived = delta * (1.0 + float(fractal_scale(horizon, alpha)))
     slack = 1.0 + 1e-9
     return StabilityReport(
         delta,
@@ -455,17 +436,14 @@ def compare_candidate_forms(
     if forms is None:
         return None
     xs = np.linspace(0.0, problem.x_max, nx)
-    zeros = np.zeros_like(xs)
-    xp, _ = problem.scaled_coords(xs, zeros)
-    f_target = np.asarray(evaluate(problem.f, xp), dtype=float)
     ts = np.linspace(0.0, problem.t_max, nt)
-    tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    u_truth = sol.evaluate_many(xx.ravel(), tt.ravel())
+    xp, _ = problem.scaled_coords(xs, 0.0)
+    f_target = np.asarray(evaluate(problem.f, xp), dtype=float)
+    u_truth = evaluate_grid(sol, xs, ts)
     ic: dict[str, float] = {}
     gaps: dict[str, float] = {}
     for name, form in forms.items():
-        ic[name] = float(np.abs(form.evaluate_many(xs, zeros) - f_target).max())
-        gaps[name] = float(
-            np.abs(form.evaluate_many(xx.ravel(), tt.ravel()) - u_truth).max()
-        )
+        u = evaluate_grid(form, xs, ts)
+        ic[name] = float(np.abs(u[0] - f_target).max())  # row 0 is t = 0
+        gaps[name] = float(np.abs(u - u_truth).max())
     return FormComparison(tuple(forms), ic, gaps)

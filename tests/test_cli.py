@@ -295,3 +295,35 @@ class TestSweepCommand:
         rc = main(["sweep", str(path), "--alphas", "1.5", "--out", str(tmp_path / "s")])
         assert rc == EXIT_INPUT
         assert "outside" in capsys.readouterr().err
+
+
+class TestGridFlagValidation:
+    """Non-positive --nx/--nt/--tol are input errors on every subcommand."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        path = write_problem(tmp_path / "p.yaml")
+        out = str(tmp_path / "out")
+        if command == "figures":
+            return ["figures", "--out", out]
+        if command == "sweep":
+            return ["sweep", str(path), "--alphas", "0.8", "--out", out]
+        return [command, str(path), "--out", out]
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "figures"])
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_non_positive_tol_exits_2(self, tmp_path, capsys, command, tol):
+        rc = main(self.argv(command, tmp_path) + ["--tol", tol])
+        assert rc == EXIT_INPUT
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "figures"])
+    @pytest.mark.parametrize("flags, named", [(["--nx", "0", "--nt", "3"], "--nx"),
+                                              (["--nt", "0"], "--nt"),
+                                              (["--nx", "-4"], "--nx")])
+    def test_non_positive_grid_exits_2(self, tmp_path, capsys, command, flags, named):
+        rc = main(self.argv(command, tmp_path) + flags)
+        assert rc == EXIT_INPUT
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

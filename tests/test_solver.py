@@ -6,17 +6,20 @@ from scipy import integrate
 
 from fracwave.core import DomainError, FractionalOrder
 from fracwave.expr import EvaluationError, parse
+from fracwave import solver
 from fracwave.fracops import QuadratureError
 from fracwave.solver import (
     WaveProblem,
     _simpson_batch,
     characteristic_constant,
     evaluate_field,
+    evaluate_grid,
     g_integral,
     solve_dalembert,
     solve_first_order,
 )
 from fracwave.transform import TransformSpec
+from fracwave.verify import VELOCITY_WINDOW, _tightened
 
 
 def problem(alpha, c=1.0, f="x^2", g="sin(x)", x_max=6.0, t_max=2.0, transform=None):
@@ -285,3 +288,34 @@ class TestEvaluateField:
     def test_rejects_degenerate_grids(self):
         with pytest.raises(DomainError):
             evaluate_field(solve_dalembert(problem(0.5)), 1, 5)
+
+
+class TestEvaluateGrid:
+    """The shared dense loop returns the bits of one big evaluate_many batch,
+    whatever the chunk size."""
+
+    @staticmethod
+    def one_batch(sol, xs, ts):
+        tt, xx = np.meshgrid(ts, xs, indexing="ij")
+        return sol.evaluate_many(xx.ravel(), tt.ravel()).reshape(tt.shape)
+
+    # each grid is larger than its chunk, so several chunks are evaluated
+    @pytest.mark.parametrize("chunk, nx, nt", [(1, 9, 5), (7, 9, 5), (4096, 65, 65)])
+    def test_dalembert_field_independent_of_chunk(self, monkeypatch, chunk, nx, nt):
+        sol = solve_dalembert(problem(0.8))
+        xs = np.linspace(0.0, 6.0, nx)
+        ts = np.linspace(0.0, 2.0, nt)
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        got = evaluate_grid(sol, xs, ts)
+        assert got.shape == (nt, nx)
+        assert got.tobytes() == self.one_batch(sol, xs, ts).tobytes()
+
+    @pytest.mark.parametrize("chunk, nx", [(1, 3), (7, 5), (4096, 33)])
+    def test_tight_tolerance_probe_grid_independent_of_chunk(self, monkeypatch, chunk, nx):
+        # the t = 0 velocity probe: 513 window times per x at abs_tol 1e-13
+        probe = _tightened(solve_dalembert(problem(0.8)))
+        xs = np.linspace(0.0, 6.0, nx)
+        ts = np.linspace(0.0, VELOCITY_WINDOW, 513)
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        got = evaluate_grid(probe, xs, ts)
+        assert got.tobytes() == self.one_batch(probe, xs, ts).tobytes()
