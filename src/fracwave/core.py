@@ -11,44 +11,15 @@ class DomainError(ValueError):
     """Raised when an argument lies outside the mathematical domain of an operation."""
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error is below 1e-14
-# for positive real arguments, comfortably inside the 1e-13 contract on (0, 30].
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
 def gamma(z: float) -> float:
-    """Gamma function for positive real arguments.
-
-    Uses a Lanczos rational approximation; arguments below 0.5 are lifted
-    through the recurrence gamma(z) = gamma(z + 1) / z, so no reflection
-    formula is needed.
-    """
+    """Gamma function for positive real arguments: math.gamma behind the
+    package's domain checks, so gamma(n) is exact for small integers n."""
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"gamma requires a finite argument > 0, got {z!r}")
-    if z < 0.5:
-        return gamma(z + 1.0) / z
-    zz = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, coef in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += coef / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    result = _SQRT_TWO_PI * t ** (zz + 0.5) * math.exp(-t) * acc
-    if not math.isfinite(result):
-        raise DomainError(f"gamma({z!r}) overflows a double")
-    return result
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        raise DomainError(f"gamma({z!r}) overflows a double") from None
 
 
 @dataclass(frozen=True)

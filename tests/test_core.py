@@ -33,6 +33,10 @@ class TestGamma:
             z = float(z)
             assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=1e-12)
 
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            gamma(172.0)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):

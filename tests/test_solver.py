@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
-from fracwave.core import DomainError, FractionalOrder
+from fracwave.core import DomainError, FractionalOrder, gamma
 from fracwave.expr import EvaluationError, parse
 from fracwave import solver
 from fracwave.fracops import QuadratureError
@@ -78,6 +80,22 @@ class TestWaveProblem:
         g = math.gamma(1.5)
         assert lo == pytest.approx(-(2.0**0.5) / g)
         assert hi == pytest.approx((2.0 + 2.0**0.5) / g)
+
+
+class TestClassicalLimit:
+    """At alpha = 1 the scaled coordinates are the physical ones, exactly."""
+
+    CLASSICAL = problem(1.0, x_max=1e6, t_max=1e6)
+
+    def test_gamma_two_is_one(self):
+        assert gamma(2.0) == 1.0
+
+    @given(st.floats(0.0, 1e6), st.floats(0.0, 1e6))
+    def test_scaled_coords_are_identity(self, x, t):
+        xp, tp = self.CLASSICAL.scaled_coords(x, t)
+        assert (xp, tp) == (x, t)
+        arr = np.array([x, t])
+        assert self.CLASSICAL.scaled_coords(arr, arr)[0].tobytes() == arr.tobytes()
 
 
 class TestSolveFirstOrder:
