@@ -198,8 +198,8 @@ def write_field_csv(field: Field2D, path: str | Path) -> None:
 def _check_grid_flags(args) -> None:
     for flag in ("nx", "nt", "tol"):
         value = getattr(args, flag)
-        if value is not None and not value > 0:
-            raise ProblemFileError(f"--{flag} must be positive, got {value!r}")
+        if value is not None and not 0 < value < math.inf:
+            raise ProblemFileError(f"--{flag} must be positive and finite, got {value!r}")
 
 
 def _grid(args, nx: int, nt: int) -> tuple[int, int]:

@@ -12,8 +12,9 @@ class DomainError(ValueError):
 
 
 def gamma(z: float) -> float:
-    """Gamma function for positive real arguments: math.gamma behind the
-    package's domain checks, so gamma(n) is exact for small integers n."""
+    """Gamma function for positive real arguments: math.gamma, which is exact
+    at small integers (so alpha = 1 is exactly classical), behind the
+    package's domain checks."""
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"gamma requires a finite argument > 0, got {z!r}")
     try:

@@ -83,7 +83,9 @@ class InitialConditionReport:
         }
 
 
-def alpha_velocity_at_zero(u_of_t: Callable, alpha: float, n_panels: int = 512):
+def alpha_velocity_at_zero(
+    u_of_t: Callable, alpha: float, n_panels: int = 512
+) -> float | np.ndarray:
     """Fractional time derivative of order alpha of u(t) at t = 0, as the
     limit from the right: one-sided differencing of the kernel convolution of
     u - u(0) over a vanishing window, product-integrated on n_panels panels.
@@ -93,8 +95,8 @@ def alpha_velocity_at_zero(u_of_t: Callable, alpha: float, n_panels: int = 512):
     """
     h = VELOCITY_WINDOW
     nodes = np.linspace(0.0, h, n_panels + 1)
-    du = np.asarray(u_of_t(nodes), dtype=float)
-    du = du - du[..., :1]
+    u = np.asarray(u_of_t(nodes), dtype=float)
+    du = u - u[..., :1]
     if alpha == 1.0:
         vel = du[..., -1] / h
     else:
@@ -131,7 +133,8 @@ def check_initial_conditions(
 
     probe = _tightened(sol)
     g_target = np.asarray(evaluate(problem.g, xp), dtype=float)
-    # one row of window samples per x, laid out row-major for the kernel matmul
+    # one row of window samples per x, copied to C order so that the kernel
+    # matmul sums each row in the same order as a contiguous (nx, n) array
     vel = alpha_velocity_at_zero(
         lambda ts: evaluate_grid(probe, xs, ts).T.copy(), problem.alpha, n_panels
     )

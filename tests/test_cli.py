@@ -298,7 +298,8 @@ class TestSweepCommand:
 
 
 class TestGridFlagValidation:
-    """Non-positive --nx/--nt/--tol are input errors on every subcommand."""
+    """Non-positive or non-finite --nx/--nt/--tol are input errors on every
+    subcommand."""
 
     @staticmethod
     def argv(command, tmp_path):
@@ -311,8 +312,8 @@ class TestGridFlagValidation:
         return [command, str(path), "--out", out]
 
     @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "figures"])
-    @pytest.mark.parametrize("tol", ["0", "-1"])
-    def test_non_positive_tol_exits_2(self, tmp_path, capsys, command, tol):
+    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
+    def test_non_positive_or_non_finite_tol_exits_2(self, tmp_path, capsys, command, tol):
         rc = main(self.argv(command, tmp_path) + ["--tol", tol])
         assert rc == EXIT_INPUT
         assert "--tol" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from fracwave.fracops import Samples1D, jumarie_derivative_grid
 from fracwave.solver import WaveProblem, solve_dalembert, solve_first_order
 from fracwave.verify import (
     CallableSolution,
+    alpha_velocity_at_zero,
     candidate_product_forms,
     check_initial_conditions,
     compare_candidate_forms,
@@ -68,6 +69,22 @@ class TestInitialConditions:
         assert report.position_max_error <= 1e-10
         assert report.velocity_max_error <= 1e-3
         assert report.passed
+
+
+class TestAlphaVelocityAtZero:
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    def test_rows_of_samples_match_single_series(self, alpha):
+        # D^a of t^a is gamma(1 + a); each row of a 2-D sample array is probed
+        # as if it were passed alone
+        rows = lambda ts: np.stack([ts**alpha, 3.0 * ts**alpha + 2.0])
+        vel = alpha_velocity_at_zero(rows, alpha)
+        assert vel.shape == (2,)
+        single = alpha_velocity_at_zero(lambda ts: ts**alpha, alpha)
+        assert isinstance(single, float)
+        assert single == pytest.approx(gamma(1.0 + alpha), rel=1e-3)
+        assert vel[0] == pytest.approx(single, rel=1e-12)
+        # the offset 2 cancels in u - u(0), leaving rounding of 2 amplified by 1/h
+        assert vel[1] == pytest.approx(3.0 * single, rel=1e-6)
 
 
 class TestCandidateForms:
