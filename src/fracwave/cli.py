@@ -20,6 +20,7 @@ from .core import DomainError, FractionalOrder, Tolerance
 from .expr import EvaluationError, ParseError, parse
 from .fracops import QuadratureConfig, QuadratureError
 from .solver import (
+    MIN_GRID_POINTS,
     ClosedFormSolution,
     Field2D,
     WaveProblem,
@@ -28,6 +29,7 @@ from .solver import (
     solve_first_order,
 )
 from .verify import (
+    MIN_RESIDUAL_CELLS,
     check_initial_conditions,
     compare_candidate_forms,
     candidate_product_forms,
@@ -196,10 +198,18 @@ def write_field_csv(field: Field2D, path: str | Path) -> None:
 
 
 def _check_grid_flags(args) -> None:
+    """Reject bad --nx/--nt/--tol before any work: each must be positive and
+    finite, and --nx/--nt at least the subcommand's grid_min."""
     for flag in ("nx", "nt", "tol"):
         value = getattr(args, flag)
         if value is not None and not 0 < value < math.inf:
             raise ProblemFileError(f"--{flag} must be positive and finite, got {value!r}")
+    for flag in ("nx", "nt"):
+        value = getattr(args, flag)
+        if value is not None and value < args.grid_min:
+            raise ProblemFileError(
+                f"--{flag} must be at least {args.grid_min} for {args.command}, got {value!r}"
+            )
 
 
 def _grid(args, nx: int, nt: int) -> tuple[int, int]:
@@ -378,9 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_flags(p):
-        p.add_argument("--nx", type=int, default=None, help="grid points along x")
-        p.add_argument("--nt", type=int, default=None, help="grid points along t")
+    def add_grid_flags(p, grid_min=MIN_GRID_POINTS, unit="grid points"):
+        p.add_argument("--nx", type=int, default=None, help=f"{unit} along x (at least {grid_min})")
+        p.add_argument("--nt", type=int, default=None, help=f"{unit} along t (at least {grid_min})")
+        p.set_defaults(grid_min=grid_min)
         p.add_argument("--tol", type=float, default=None,
                        help="absolute tolerance for the velocity-profile integral")
 
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a printed closed-form candidate instead of the "
         "quadrature solution (worked example shapes only)",
     )
-    add_grid_flags(p_verify)
+    add_grid_flags(p_verify, MIN_RESIDUAL_CELLS, "residual cells")
     p_verify.set_defaults(func=cmd_verify)
 
     p_fig = sub.add_parser(

@@ -4,11 +4,33 @@ X' = x^alpha / gamma(1+alpha), T' = t^alpha / gamma(1+alpha).
 
 The second-order solution splits the displacement profile into two
 counter-propagating waves moving at speed c^alpha in the scaled frame plus a
-definite integral of the velocity profile, computed by adaptive quadrature.
+definite integral of the velocity profile g over [lo, hi] =
+[X' - c^alpha T', X' + c^alpha T'] (times the scale factor).
+
+Every velocity integral of a solution comes from one antiderivative table,
+built on first use and cached on the solution:
+
+- Knots: _TABLE_CELLS + 1 evenly spaced points spanning
+  WaveProblem.scaled_argument_range().  Each cell is integrated once by
+  adaptive Simpson, and G[k] is the cumulative sum up to knot k.
+- Per interval: with k_a the first knot >= lo and k_b the last knot <= hi,
+  the integral is tail[lo, k_a] + (G[k_b] - G[k_a]) + tail[k_b, hi]; both
+  tails are integrated adaptively.  An interval that contains no knot is
+  integrated directly.  Endpoints outside the table range only lengthen the
+  tails.  Each value depends on its own (lo, hi) and the fixed table alone, so
+  results are bit-identical however points are batched.
+- Tolerance split: each cell gets abs_tol / (2 _TABLE_CELLS), so the table
+  contributes at most abs_tol / 2, and each tail gets abs_tol / 4; the sum
+  stays within abs_tol.  A direct integral gets abs_tol.  rel_tol applies to
+  each piece on its own.
+- Consequence: the first dalembert evaluation integrates g over the whole
+  scaled argument range, so a velocity profile that cannot be integrated
+  anywhere in that range fails on any point, at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal as TypingLiteral
@@ -22,6 +44,8 @@ from .transform import TransformSpec, fractal_scale
 
 SUBDIVISION_BUDGET = 2 ** 20  # per requested integral
 _CHUNK = 4096  # grid points per evaluation batch; fixed for determinism
+_TABLE_CELLS = 1024  # cells of the velocity antiderivative table
+MIN_GRID_POINTS = 2  # per axis, for evaluate_field
 
 
 # --- adaptive Simpson, batched over many intervals ---------------------------
@@ -221,16 +245,51 @@ class ClosedFormSolution:
             np.asarray(evaluate(prob.f, hi), dtype=float)
             + np.asarray(evaluate(prob.f, lo), dtype=float)
         )
-        g_fn = lambda xs: evaluate(prob.g, xs)
-        integrals = _simpson_batch(
-            g_fn, lo, hi, self.cfg.adaptive_tol.abs_tol, self.cfg.adaptive_tol.rel_tol
-        )
-        return f_part + integrals / (2.0 * c_a * s)
+        return f_part + self._velocity_integral(lo, hi) / (2.0 * c_a * s)
 
     def evaluate(self, x: float, t: float) -> float:
         return float(self.evaluate_many(np.array([x]), np.array([t]))[0])
 
     __call__ = evaluate
+
+    def _g_fn(self, xs: np.ndarray) -> np.ndarray:
+        return evaluate(self.problem.g, xs)
+
+    @functools.cached_property
+    def _antiderivative_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Knots spanning the scaled argument range and G, the integral of g
+        from the first knot to each knot."""
+        knots = np.linspace(*self.problem.scaled_argument_range(), _TABLE_CELLS + 1)
+        tol = self.cfg.adaptive_tol
+        cells = _simpson_batch(
+            self._g_fn, knots[:-1], knots[1:], 0.5 * tol.abs_tol / _TABLE_CELLS, tol.rel_tol
+        )
+        return knots, np.concatenate([[0.0], np.cumsum(cells)])
+
+    def _velocity_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Integrals of g over [lo, hi] (lo <= hi elementwise) from the
+        antiderivative table; see the module docstring."""
+        knots, table = self._antiderivative_table
+        tol = self.cfg.adaptive_tol
+        k_a = np.searchsorted(knots, lo, side="left")
+        k_b = np.searchsorted(knots, hi, side="right") - 1
+        direct = k_a > k_b
+        out = np.empty(lo.shape)
+        out[direct] = _simpson_batch(
+            self._g_fn, lo[direct], hi[direct], tol.abs_tol, tol.rel_tol
+        )
+        via = ~direct
+        k_a, k_b = k_a[via], k_b[via]
+        tails = _simpson_batch(
+            self._g_fn,
+            np.concatenate([lo[via], knots[k_b]]),
+            np.concatenate([knots[k_a], hi[via]]),
+            0.25 * tol.abs_tol,
+            tol.rel_tol,
+        )
+        n = k_a.size
+        out[via] = tails[:n] + (table[k_b] - table[k_a]) + tails[n:]
+        return out
 
     # the two profile components: u = forward(hi) + backward(lo)
     def forward_profile(self, y: float) -> float:
@@ -247,11 +306,16 @@ class ClosedFormSolution:
 
     def _profile_halves(self, y: float) -> tuple[float, float]:
         """Half the displacement profile at y, and half the scaled
-        antiderivative of the velocity profile from 0 to y."""
+        antiderivative of the velocity profile from 0 to y (the signed table
+        integral)."""
         if self.kind != "dalembert":
             raise DomainError("profile components exist only for the dalembert kind")
         prob = self.problem
-        half_int = g_integral(prob.g, 0.0, y, self.cfg) / (2.0 * prob.wave_scale * prob.argument_scale)
+        lo, hi = sorted((0.0, float(y)))
+        integral = self._velocity_integral(np.array([lo]), np.array([hi]))[0]
+        if y < 0.0:
+            integral = -integral
+        half_int = integral / (2.0 * prob.wave_scale * prob.argument_scale)
         return 0.5 * evaluate(prob.f, y), half_int
 
 
@@ -317,8 +381,8 @@ def evaluate_grid(sol, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
 def evaluate_field(sol: ClosedFormSolution, nx: int, nt: int) -> Field2D:
     """Evaluate on the uniform nx-by-nt point grid spanning
     [0, x_max] x [0, t_max]."""
-    if nx < 2 or nt < 2:
-        raise DomainError("need at least 2 grid points per axis")
+    if nx < MIN_GRID_POINTS or nt < MIN_GRID_POINTS:
+        raise DomainError(f"need at least {MIN_GRID_POINTS} grid points per axis")
     prob = sol.problem
     xs = np.linspace(0.0, prob.x_max, nx)
     ts = np.linspace(0.0, prob.t_max, nt)

@@ -27,6 +27,7 @@ from .transform import TransformSpec, fractal_scale
 
 RESIDUAL_FLOOR = 1e-8  # below this, refinement levels count as converged
 VELOCITY_WINDOW = 1e-8  # width h of the one-sided window of the t = 0 velocity probe
+MIN_RESIDUAL_CELLS = 32  # per axis, for the coarsest level of pde_residual
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,8 @@ def pde_residual(
     x = 0 and t = 0 edges (where one-sided differencing and the operator
     anchor pollute accuracy).
     """
-    if nx < 32 or nt < 32:
-        raise DomainError("residual grids need at least 32 cells per axis")
+    if nx < MIN_RESIDUAL_CELLS or nt < MIN_RESIDUAL_CELLS:
+        raise DomainError(f"residual grids need at least {MIN_RESIDUAL_CELLS} cells per axis")
     if levels < 1:
         raise DomainError("need at least one refinement level")
     prob = problem

@@ -18,7 +18,8 @@ from fracwave.cli import (
 from fracwave.core import FractionalOrder
 from fracwave.expr import parse
 from fracwave.fracops import QuadratureConfig
-from fracwave.solver import WaveProblem, evaluate_field, solve_dalembert
+from fracwave.solver import MIN_GRID_POINTS, WaveProblem, evaluate_field, solve_dalembert
+from fracwave.verify import MIN_RESIDUAL_CELLS
 
 TWO_PI = 2.0 * math.pi
 
@@ -328,3 +329,27 @@ class TestGridFlagValidation:
         assert rc == EXIT_INPUT
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("solve", ["--nx", "1"], "--nx"),
+        ("solve", ["--nt", "1"], "--nt"),
+        ("sweep", ["--nx", "1"], "--nx"),
+        ("figures", ["--nt", "1"], "--nt"),
+        ("verify", ["--nx", "8"], "--nx"),
+        ("verify", ["--nt", "31"], "--nt"),
+    ])
+    def test_grid_below_library_minimum_exits_2(self, tmp_path, capsys, command, flags, named):
+        # too-small grids are input errors, not numerical failures
+        rc = main(self.argv(command, tmp_path) + flags)
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert named in err and "at least" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, minimum", [("solve", MIN_GRID_POINTS),
+                                                  ("verify", MIN_RESIDUAL_CELLS)])
+    def test_grid_at_library_minimum_is_accepted(self, tmp_path, command, minimum):
+        flags = ["--nx", str(minimum), "--nt", str(minimum)]
+        rc = main(self.argv(command, tmp_path) + flags)
+        assert rc == EXIT_OK
+        assert (tmp_path / "out").exists()

@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from fracwave.core import DomainError, FractionalOrder, gamma
+from fracwave.core import DomainError, FractionalOrder, Tolerance, gamma
 from fracwave.expr import EvaluationError, parse
 from fracwave import solver
-from fracwave.fracops import QuadratureError
+from fracwave.fracops import QuadratureConfig, QuadratureError
 from fracwave.solver import (
     WaveProblem,
     _simpson_batch,
@@ -337,3 +337,95 @@ class TestEvaluateGrid:
         monkeypatch.setattr(solver, "_CHUNK", chunk)
         got = evaluate_grid(probe, xs, ts)
         assert got.tobytes() == self.one_batch(probe, xs, ts).tobytes()
+
+
+class TestAntiderivativeTable:
+    """Velocity integrals come from one cached antiderivative table plus two
+    adaptive tails per interval."""
+
+    ABS_TOL = 1e-6  # loose, so the tolerance split is actually exercised
+    SOL = solve_dalembert(
+        problem(0.8, g="exp(x / 4) * sin(3 * x)"),
+        QuadratureConfig(1024, Tolerance(ABS_TOL, 0.0)),
+    )
+    KNOTS = np.linspace(*SOL.problem.scaled_argument_range(), solver._TABLE_CELLS + 1)
+    WIDTH = KNOTS[1] - KNOTS[0]
+    SPAN = KNOTS[-1] - KNOTS[0]
+
+    @classmethod
+    def interval(cls, kind, k, u, v, n):
+        """An interval of the given kind; k picks a cell, u and v in [0, 1]
+        place the ends, n is a cell count."""
+        knots, w = cls.KNOTS, cls.WIDTH
+        cells = knots.size - 1
+        inside = lambda j, frac: knots[j] + w * (0.1 + 0.8 * frac)
+        if kind == "zero":
+            lo = hi = knots[k] + w * u
+        elif kind == "one_cell":
+            lo, hi = sorted((inside(k, u), inside(k, v)))
+        elif kind == "one_knot":
+            k = max(k, 1)
+            lo, hi = inside(k - 1, u), inside(k, v)
+        elif kind == "many_cells":
+            lo, hi = inside(k, u), inside(min(k + n, cells - 1), v)
+        elif kind == "below":
+            lo, hi = knots[0] - cls.SPAN * (0.05 + u), inside(k, v)
+        else:  # "above"
+            lo, hi = inside(k, u), knots[-1] + cls.SPAN * (0.05 + v)
+        return lo, hi
+
+    def test_knots_span_scaled_argument_range(self):
+        knots, table = self.SOL._antiderivative_table
+        assert knots.tobytes() == self.KNOTS.tobytes()
+        assert table[0] == 0.0 and table.shape == knots.shape
+
+    @given(
+        st.sampled_from(["zero", "one_cell", "one_knot", "many_cells", "below", "above"]),
+        st.integers(0, solver._TABLE_CELLS - 1),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(2, solver._TABLE_CELLS),
+    )
+    def test_agrees_with_direct_integral(self, kind, k, u, v, n):
+        lo, hi = self.interval(kind, k, u, v, n)
+        knots_inside = np.count_nonzero((self.KNOTS >= lo) & (self.KNOTS <= hi))
+        if kind == "one_cell":
+            assert knots_inside == 0
+        elif kind == "one_knot":
+            assert knots_inside == 1
+        elif kind == "many_cells":
+            assert knots_inside >= 2
+        got = self.SOL._velocity_integral(np.array([lo]), np.array([hi]))[0]
+        reference = _simpson_batch(
+            self.SOL._g_fn, np.array([lo]), np.array([hi]), 1e-3 * self.ABS_TOL, 0.0
+        )[0]
+        assert abs(got - reference) <= self.ABS_TOL
+
+    def test_point_alone_matches_batch_bitwise(self):
+        prob = problem(0.8)
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0.0, prob.x_max, 200)
+        ts = rng.uniform(0.0, prob.t_max, 200)
+        ts[:20] = 0.0  # zero-width intervals
+        ts[20:40] = rng.uniform(0.0, 1e-6, 20)  # mostly knot-free, integrated directly
+        batch = solve_dalembert(prob).evaluate_many(xs, ts)
+        for i in range(xs.size):
+            # a fresh solution builds its own table: the bits must not depend on it
+            alone = solve_dalembert(prob).evaluate_many(xs[i:i + 1], ts[i:i + 1])
+            assert alone.tobytes() == batch[i:i + 1].tobytes()
+
+    def test_profile_components_use_signed_table_integral(self):
+        sol = solve_dalembert(problem(0.8))
+        scale = 2.0 * sol.problem.wave_scale * sol.problem.argument_scale
+        for y in (-1.3, 0.0, 2.2):
+            half_int = 0.5 * (sol.forward_profile(y) - sol.backward_profile(y))
+            assert half_int == pytest.approx((1.0 - math.cos(y)) / scale, abs=1e-12)
+
+    def test_pole_in_velocity_profile_fails_at_first_evaluation(self):
+        # g = 1/(x - 1) has a pole inside the scaled argument range
+        prob = problem(0.8, g="1/(x - 1)", x_max=2 * math.pi, t_max=2 * math.pi)
+        # the table covers the whole range, so even a zero-width interval fails
+        with pytest.raises(QuadratureError):
+            solve_dalembert(prob).evaluate(5.0, 0.0)
+        with pytest.raises(QuadratureError):
+            evaluate_field(solve_dalembert(prob), 17, 17)
