@@ -198,18 +198,16 @@ def write_field_csv(field: Field2D, path: str | Path) -> None:
 
 
 def _check_grid_flags(args) -> None:
-    """Reject bad --nx/--nt/--tol before any work: each must be positive and
-    finite, and --nx/--nt at least the subcommand's grid_min."""
-    for flag in ("nx", "nt", "tol"):
-        value = getattr(args, flag)
-        if value is not None and not 0 < value < math.inf:
-            raise ProblemFileError(f"--{flag} must be positive and finite, got {value!r}")
+    """Reject bad flags before any work: --nx/--nt below the subcommand's
+    grid_min, and a --tol that is not positive and finite."""
     for flag in ("nx", "nt"):
         value = getattr(args, flag)
         if value is not None and value < args.grid_min:
             raise ProblemFileError(
                 f"--{flag} must be at least {args.grid_min} for {args.command}, got {value!r}"
             )
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        raise ProblemFileError(f"--tol must be positive and finite, got {args.tol!r}")
 
 
 def _grid(args, nx: int, nt: int) -> tuple[int, int]:
