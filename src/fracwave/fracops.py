@@ -96,31 +96,27 @@ def _kernel_node_weights(mu: float, upper: float, n: int) -> np.ndarray:
     return w
 
 
-def _singular_integral(fn: Callable, mu: float, upper: float, n: int) -> float:
+def _float_if_scalar(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def _singular_integral(fn: Callable, mu: float, upper: float, n: int):
+    # fn maps the nodes to samples along its last axis; the result has the
+    # shape of the remaining axes (a float for 1-D samples)
     if upper == 0.0:
         return 0.0
     nodes = np.linspace(0.0, upper, n + 1)
     fx = np.asarray(fn(nodes), dtype=float)
-    out = float(_kernel_node_weights(mu, upper, n) @ fx)
-    if not math.isfinite(out):
+    out = fx @ _kernel_node_weights(mu, upper, n)
+    if not np.all(np.isfinite(out)):
         raise QuadratureError(f"singular product rule returned {out!r}")
-    return out
+    return _float_if_scalar(out)
 
 
 def _difference_step(x):
     # step policy for every outer/inner numerical derivative in this module;
     # elementwise on arrays
     return np.maximum(1e-5 * np.abs(x), 1e-8)
-
-
-def _one_sided_or_central(w: Callable, x: float) -> float:
-    """d/dx of w at x >= 0, falling back to a forward difference when x - h
-    would leave the domain (this defines values at the left terminal as limits
-    from the right)."""
-    h = float(_difference_step(x))
-    if x - h < 0.0:
-        return (w(x + h) - w(x)) / h
-    return (w(x + h) - w(x - h)) / (2.0 * h)
 
 
 def _fn_derivative_on(fn: Callable, nodes: np.ndarray) -> np.ndarray:
@@ -153,19 +149,22 @@ def rl_integral(
     return _singular_integral(fn, alpha, x, cfg.n_panels) / gamma(alpha)
 
 
-def _rl_derivative_fn(
-    fn: Callable, alpha: float, x: float, cfg: QuadratureConfig
-) -> float:
+def _rl_derivative_fn(fn: Callable, alpha: float, x: float, cfg: QuadratureConfig):
     if x < 0.0:
         raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
     if alpha == 1.0:
-        return _one_sided_or_central(fn, x)
+        return _float_if_scalar(_fn_derivative_on(fn, np.array([x]))[..., 0])
     inv_g = 1.0 / gamma(1.0 - alpha)
 
-    def w(y: float) -> float:
+    def w(y: float):
         return inv_g * _singular_integral(fn, 1.0 - alpha, y, cfg.n_panels)
 
-    return _one_sided_or_central(w, x)
+    # outer derivative of w, forward where x - h would leave the domain (this
+    # defines values at the left terminal as limits from the right)
+    h = float(_difference_step(x))
+    if x - h < 0.0:
+        return (w(x + h) - w(x)) / h
+    return (w(x + h) - w(x - h)) / (2.0 * h)
 
 
 def rl_derivative(
@@ -188,12 +187,16 @@ def jumarie_derivative(
     order: FractionalOrder | float,
     x: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+) -> float | np.ndarray:
     """Jumarie (shifted Riemann-Liouville) derivative: the R-L derivative of
-    f - f(0).  Annihilates constants; for smooth f it agrees with Caputo."""
+    f - f(0).  Annihilates constants; for smooth f it agrees with Caputo.
+
+    A callable f may return samples along its last axis, one row per series;
+    the result then holds one derivative per row (a float for 1-D samples).
+    """
     alpha = as_order(order).alpha
     fn = _as_callable(f)
-    f0 = float(np.asarray(fn(np.zeros(1)), dtype=float)[0])
+    f0 = np.asarray(fn(np.zeros(1)), dtype=float)
     return _rl_derivative_fn(lambda xs: fn(xs) - f0, alpha, x, cfg)
 
 

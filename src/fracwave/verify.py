@@ -12,9 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, Tolerance, gamma
+from .core import DomainError, Tolerance
 from .expr import Func, Literal, Pow, Var, evaluate
-from .fracops import QuadratureConfig, _kernel_node_weights, grid_operator_matrix
+from .fracops import QuadratureConfig, grid_operator_matrix, jumarie_derivative
 from .solver import (
     ClosedFormSolution,
     WaveProblem,
@@ -26,7 +26,6 @@ from .solver import (
 from .transform import TransformSpec, fractal_scale
 
 RESIDUAL_FLOOR = 1e-8  # below this, refinement levels count as converged
-VELOCITY_WINDOW = 1e-8  # width h of the one-sided window of the t = 0 velocity probe
 MIN_RESIDUAL_CELLS = 32  # per axis, for the coarsest level of pde_residual
 
 
@@ -41,16 +40,6 @@ class CallableSolution:
 
     def evaluate(self, x: float, t: float) -> float:
         return float(self.evaluate_many(np.array([x]), np.array([t]))[0])
-
-
-def _tightened(sol):
-    """Re-wrap a closed-form solution with a tight quadrature tolerance for
-    derivative probing, where integration noise is amplified by h^-alpha."""
-    if isinstance(sol, ClosedFormSolution) and sol.kind == "dalembert":
-        tol = sol.cfg.adaptive_tol
-        tight = QuadratureConfig(sol.cfg.n_panels, Tolerance(min(tol.abs_tol, 1e-13), 0.0))
-        return ClosedFormSolution(sol.kind, sol.problem, tight)
-    return sol
 
 
 # --- initial conditions -------------------------------------------------------
@@ -84,27 +73,6 @@ class InitialConditionReport:
         }
 
 
-def alpha_velocity_at_zero(
-    u_of_t: Callable, alpha: float, n_panels: int = 512
-) -> float | np.ndarray:
-    """Fractional time derivative of order alpha of u(t) at t = 0, as the
-    limit from the right: one-sided differencing of the kernel convolution of
-    u - u(0) over a vanishing window, product-integrated on n_panels panels.
-
-    u_of_t maps the ndarray of window times to samples along its last axis;
-    the result has the shape of the remaining axes (a float for 1-D samples).
-    """
-    h = VELOCITY_WINDOW
-    nodes = np.linspace(0.0, h, n_panels + 1)
-    u = np.asarray(u_of_t(nodes), dtype=float)
-    du = u - u[..., :1]
-    if alpha == 1.0:
-        vel = du[..., -1] / h
-    else:
-        vel = du @ _kernel_node_weights(1.0 - alpha, h, n_panels) / (h * gamma(1.0 - alpha))
-    return float(vel) if vel.ndim == 0 else vel
-
-
 def check_initial_conditions(
     problem: WaveProblem,
     sol,
@@ -116,9 +84,11 @@ def check_initial_conditions(
     """Check u(x, 0) = f(X') pointwise and, for second-order solutions, that
     the alpha-order time derivative at t = 0 reproduces g(X').
 
-    The velocity estimate carries the accuracy of the one-sided product rule
-    plus quadrature noise amplified by h^-alpha, hence its looser default
-    tolerance; the failure signals it must detect are order one.
+    The velocity is the Jumarie derivative in t at t = 0, one series per x,
+    with the product rule on n_panels panels of a one-sided window.  It
+    carries the accuracy of that rule plus quadrature noise amplified by
+    h^-alpha, hence its looser default tolerance; the failure signals it must
+    detect are order one.
     """
     xs = np.linspace(0.0, problem.x_max, nx)
     xp, _ = problem.scaled_coords(xs, np.zeros_like(xs))
@@ -132,12 +102,14 @@ def check_initial_conditions(
     if isinstance(sol, ClosedFormSolution) and sol.kind == "first_order":
         return InitialConditionReport(nx, position_max, tol, position_pass, None, None, True)
 
-    probe = _tightened(sol)
     g_target = np.asarray(evaluate(problem.g, xp), dtype=float)
     # one row of window samples per x, copied to C order so that the kernel
     # matmul sums each row in the same order as a contiguous (nx, n) array
-    vel = alpha_velocity_at_zero(
-        lambda ts: evaluate_grid(probe, xs, ts).T.copy(), problem.alpha, n_panels
+    vel = jumarie_derivative(
+        lambda ts: evaluate_grid(sol, xs, ts).T.copy(),
+        problem.alpha,
+        0.0,
+        QuadratureConfig(n_panels),
     )
     vel_err = float(np.abs(vel - g_target).max())
     vel_pass = vel_err <= velocity_tol

@@ -134,6 +134,21 @@ class TestJumarieDerivative:
                         shifted, alpha, x, CFG
                     )
 
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    def test_rows_of_samples_match_single_series(self, alpha):
+        # the t = 0 velocity probe of verify: D^a of t^a is gamma(1 + a), and
+        # each row of a 2-D sample array is differentiated as if passed alone
+        cfg = QuadratureConfig(512)
+        rows = lambda ts: np.stack([ts**alpha, 3.0 * ts**alpha + 2.0])
+        vel = jumarie_derivative(rows, alpha, 0.0, cfg)
+        assert vel.shape == (2,)
+        single = jumarie_derivative(lambda ts: ts**alpha, alpha, 0.0, cfg)
+        assert isinstance(single, float)
+        assert single == pytest.approx(gamma(1.0 + alpha), rel=1e-3)
+        assert vel[0] == pytest.approx(single, rel=1e-12)
+        # the offset 2 cancels in u - u(0), leaving rounding of 2 amplified by 1/h
+        assert vel[1] == pytest.approx(3.0 * single, rel=1e-6)
+
 
 class TestOperatorAgreement:
     SMOOTH = ["sin(x) + 2", "exp(-x) + x^2", "x^2 + 5", "cos(x) - 0.5", "1 + x + x^3"]

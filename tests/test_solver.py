@@ -9,7 +9,7 @@ from scipy import integrate
 from fracwave.core import DomainError, FractionalOrder, Tolerance, gamma
 from fracwave.expr import EvaluationError, parse
 from fracwave import solver
-from fracwave.fracops import QuadratureConfig, QuadratureError
+from fracwave.fracops import QuadratureConfig, QuadratureError, _difference_step
 from fracwave.solver import (
     WaveProblem,
     _simpson_batch,
@@ -21,7 +21,6 @@ from fracwave.solver import (
     solve_first_order,
 )
 from fracwave.transform import TransformSpec
-from fracwave.verify import VELOCITY_WINDOW, _tightened
 
 
 def problem(alpha, c=1.0, f="x^2", g="sin(x)", x_max=6.0, t_max=2.0, transform=None):
@@ -330,13 +329,14 @@ class TestEvaluateGrid:
 
     @pytest.mark.parametrize("chunk, nx", [(1, 3), (7, 5), (4096, 33)])
     def test_tight_tolerance_probe_grid_independent_of_chunk(self, monkeypatch, chunk, nx):
-        # the t = 0 velocity probe: 513 window times per x at abs_tol 1e-13
-        probe = _tightened(solve_dalembert(problem(0.8)))
+        # the t = 0 velocity probe: 513 window times per x over the one-sided
+        # difference window, on the solution at its own tolerance
+        sol = solve_dalembert(problem(0.8))
         xs = np.linspace(0.0, 6.0, nx)
-        ts = np.linspace(0.0, VELOCITY_WINDOW, 513)
+        ts = np.linspace(0.0, float(_difference_step(0.0)), 513)
         monkeypatch.setattr(solver, "_CHUNK", chunk)
-        got = evaluate_grid(probe, xs, ts)
-        assert got.tobytes() == self.one_batch(probe, xs, ts).tobytes()
+        got = evaluate_grid(sol, xs, ts)
+        assert got.tobytes() == self.one_batch(sol, xs, ts).tobytes()
 
 
 class TestAntiderivativeTable:
