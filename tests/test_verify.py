@@ -5,6 +5,7 @@ import pytest
 
 from fracwave.core import DomainError, FractionalOrder, gamma
 from fracwave.expr import parse
+from fracwave import solver, verify
 from fracwave.fracops import Samples1D, jumarie_derivative_grid
 from fracwave.solver import WaveProblem, solve_dalembert, solve_first_order
 from fracwave.verify import (
@@ -143,6 +144,15 @@ class TestRouteEquivalence:
             assert route_equivalence(prob, 25, seed=3000 + int(alpha * 10)) <= 1e-12
             total += 25
         assert total == 200
+
+    def test_detects_drift_in_scaling_map(self, monkeypatch):
+        # the reference route computes the characteristic invariant itself, so
+        # a scaling map with gamma(a) in place of gamma(1 + a) must show
+        prob = WaveProblem(FractionalOrder(0.5), 1.3, parse("sin(x)"), parse("0"), 8.0, 2.0)
+        drifted = lambda v, alpha: np.power(v, alpha) / math.gamma(alpha)
+        monkeypatch.setattr(solver, "fractal_scale", drifted)
+        monkeypatch.setattr(verify, "fractal_scale", drifted)
+        assert route_equivalence(prob, 200) > 1e-12
 
 
 class TestStability:
