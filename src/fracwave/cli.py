@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .core import DomainError, FractionalOrder, Tolerance
@@ -46,7 +47,7 @@ EXIT_VERIFY = 5
 SCHEMA_VERSION = 1
 _REQUIRED_KEYS = ("schema_version", "alpha", "c", "f", "g", "x_max", "t_max", "nx", "nt")
 _OPTIONAL_KEYS = ("equation", "quadrature")
-_QUAD_KEYS = ("n_panels", "abs_tol", "rel_tol")
+_QUAD_KEYS = ("abs_tol", "rel_tol")
 
 FIGURE_ALPHAS = (0.7, 0.8, 0.9, 1.0)
 
@@ -161,13 +162,10 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     unknown_q = sorted(set(quad) - set(_QUAD_KEYS))
     if unknown_q:
         raise ProblemFileError(f"unknown quadrature keys: {', '.join(unknown_q)}")
-    n_panels = quad.get("n_panels", 1024)
-    if isinstance(n_panels, bool) or not isinstance(n_panels, int) or n_panels < 8:
-        raise ProblemFileError(f"quadrature n_panels must be an integer >= 8, got {n_panels!r}")
     abs_tol = float(quad.get("abs_tol", 1e-10))
     rel_tol = float(quad.get("rel_tol", 0.0))
     try:
-        cfg = QuadratureConfig(n_panels, Tolerance(abs_tol, rel_tol))
+        cfg = QuadratureConfig(adaptive_tol=Tolerance(abs_tol, rel_tol))
         problem = WaveProblem(
             FractionalOrder(alpha), c, exprs["f"], exprs["g"], x_max, t_max
         )
@@ -185,12 +183,16 @@ def _solve(pf: ProblemFile) -> ClosedFormSolution:
 def write_field_csv(field: Field2D, path: str | Path) -> None:
     """CSV with header x,t,u; rows iterate x within each t (t-major order);
     17 significant digits, so files round-trip and are byte-deterministic."""
-    lines = ["x,t,u"]
-    for j, t in enumerate(field.t):
-        row = field.values[j]
-        for i, x in enumerate(field.x):
-            lines.append(f"{x:.17g},{t:.17g},{row[i]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    tt, xx = np.meshgrid(field.t, field.x, indexing="ij")
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(
+            fh,
+            np.column_stack((xx.ravel(), tt.ravel(), field.values.ravel())),
+            fmt="%.17g",
+            delimiter=",",
+            header="x,t,u",
+            comments="",
+        )
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -225,7 +227,7 @@ def cmd_solve(args) -> int:
 def _override_tol(pf: ProblemFile, tol: float | None) -> ProblemFile:
     if tol is None:
         return pf
-    cfg = QuadratureConfig(pf.cfg.n_panels, Tolerance(tol, pf.cfg.adaptive_tol.rel_tol))
+    cfg = QuadratureConfig(adaptive_tol=Tolerance(tol, pf.cfg.adaptive_tol.rel_tol))
     return ProblemFile(pf.problem, pf.nx, pf.nt, pf.equation, cfg)
 
 
@@ -338,7 +340,8 @@ def _example_problem(example: int, alpha: float) -> WaveProblem:
 
 def cmd_figures(args) -> int:
     outdir = Path(args.out)
-    cfg = QuadratureConfig(1024, Tolerance(args.tol if args.tol is not None else 1e-12, 0.0))
+    tol = args.tol if args.tol is not None else 1e-12
+    cfg = QuadratureConfig(adaptive_tol=Tolerance(tol, 0.0))
     nx, nt = _grid(args, 65, 65)
     outdir.mkdir(parents=True, exist_ok=True)
     for example in (1, 2):

@@ -18,7 +18,13 @@ from fracwave.cli import (
 from fracwave.core import FractionalOrder
 from fracwave.expr import parse
 from fracwave.fracops import QuadratureConfig
-from fracwave.solver import MIN_GRID_POINTS, WaveProblem, evaluate_field, solve_dalembert
+from fracwave.solver import (
+    MIN_GRID_POINTS,
+    Field2D,
+    WaveProblem,
+    evaluate_field,
+    solve_dalembert,
+)
 from fracwave.verify import MIN_RESIDUAL_CELLS
 
 TWO_PI = 2.0 * math.pi
@@ -92,18 +98,35 @@ class TestProblemFile:
         path = tmp_path / "p.yaml"
         write_problem(path)
         with path.open("a") as fh:
-            fh.write("quadrature:\n  n_panels: 256\n  abs_tol: 1.0e-8\n")
+            fh.write("quadrature:\n  abs_tol: 1.0e-8\n")
         pf = load_problem_file(path)
-        assert pf.cfg.n_panels == 256
         assert pf.cfg.adaptive_tol.abs_tol == 1e-8
 
     def test_unknown_quadrature_key_rejected(self, tmp_path):
-        path = tmp_path / "p.yaml"
-        write_problem(path)
-        with path.open("a") as fh:
-            fh.write("quadrature:\n  panels: 256\n")
-        with pytest.raises(ProblemFileError, match="unknown quadrature keys"):
-            load_problem_file(path)
+        # n_panels is no longer a key: nothing in the solution reads it
+        for key in ("panels", "n_panels"):
+            path = tmp_path / f"{key}.yaml"
+            write_problem(path)
+            with path.open("a") as fh:
+                fh.write(f"quadrature:\n  {key}: 256\n")
+            with pytest.raises(ProblemFileError, match="unknown quadrature keys"):
+                load_problem_file(path)
+
+
+class TestWriteFieldCsv:
+    def test_golden_format(self, tmp_path):
+        # header x,t,u; x varies fastest; 17 significant digits with trailing
+        # zeros dropped; signed zero kept; LF line endings
+        field = Field2D([0.1, -0.0], [0.0, 2.0 / 3.0], [[0.1, -0.0], [2.0 / 3.0, 1e-300]])
+        out = tmp_path / "f.csv"
+        write_field_csv(field, out)
+        assert out.read_bytes() == (
+            b"x,t,u\n"
+            b"0.10000000000000001,0,0.10000000000000001\n"
+            b"-0,0,-0\n"
+            b"0.10000000000000001,0.66666666666666663,0.66666666666666663\n"
+            b"-0,0.66666666666666663,1e-300\n"
+        )
 
 
 class TestSolveCommand:
