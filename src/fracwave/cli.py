@@ -184,12 +184,14 @@ def write_field_csv(field: Field2D, path: str | Path) -> None:
     """CSV with header x,t,u; rows iterate x within each t (t-major order);
     17 significant digits, so files round-trip and are byte-deterministic."""
     tt, xx = np.meshgrid(field.t, field.x, indexing="ij")
+    # one savetxt row per time level, holding every x of it: one format and
+    # one write per time level instead of per point
+    rows = np.stack((xx, tt, field.values), axis=-1).reshape(field.t.size, -1)
     with open(path, "w", newline="\n") as fh:
         np.savetxt(
             fh,
-            np.column_stack((xx.ravel(), tt.ravel(), field.values.ravel())),
-            fmt="%.17g",
-            delimiter=",",
+            rows,
+            fmt="\n".join(["%.17g,%.17g,%.17g"] * field.x.size),
             header="x,t,u",
             comments="",
         )

@@ -103,7 +103,7 @@ class TestProblemFile:
         assert pf.cfg.adaptive_tol.abs_tol == 1e-8
 
     def test_unknown_quadrature_key_rejected(self, tmp_path):
-        # n_panels is no longer a key: nothing in the solution reads it
+        # n_panels is rejected too: no solution reads a panel count
         for key in ("panels", "n_panels"):
             path = tmp_path / f"{key}.yaml"
             write_problem(path)
