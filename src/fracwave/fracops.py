@@ -104,7 +104,8 @@ def _singular_integral(fn: Callable, mu: float, upper: float, n: int):
     # fn maps the nodes to samples along its last axis; the result has the
     # shape of the remaining axes (a float for 1-D samples)
     if upper == 0.0:
-        return 0.0
+        # an empty interval: zeros shaped like fn's rows, learnt at one node
+        return _float_if_scalar(np.zeros(np.shape(fn(np.zeros(1)))[:-1]))
     nodes = np.linspace(0.0, upper, n + 1)
     fx = np.asarray(fn(nodes), dtype=float)
     out = fx @ _kernel_node_weights(mu, upper, n)
@@ -156,15 +157,15 @@ def _rl_derivative_fn(fn: Callable, alpha: float, x: float, cfg: QuadratureConfi
         return _float_if_scalar(_fn_derivative_on(fn, np.array([x]))[..., 0])
     inv_g = 1.0 / gamma(1.0 - alpha)
 
-    def w(y: float):
-        return inv_g * _singular_integral(fn, 1.0 - alpha, y, cfg.n_panels)
+    def w(ys: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [inv_g * _singular_integral(fn, 1.0 - alpha, y, cfg.n_panels) for y in ys],
+            axis=-1,
+        )
 
     # outer derivative of w, forward where x - h would leave the domain (this
     # defines values at the left terminal as limits from the right)
-    h = float(_difference_step(x))
-    if x - h < 0.0:
-        return (w(x + h) - w(x)) / h
-    return (w(x + h) - w(x - h)) / (2.0 * h)
+    return _float_if_scalar(_fn_derivative_on(w, np.array([x]))[..., 0])
 
 
 def rl_derivative(
@@ -234,32 +235,23 @@ def integral_dx_alpha(
 # --- gridded operator --------------------------------------------------------
 
 
-def _difference_matrix(n: int, dx: float) -> np.ndarray:
-    d = np.zeros((n + 1, n + 1))
-    idx = np.arange(1, n)
-    d[idx, idx - 1] = -0.5 / dx
-    d[idx, idx + 1] = 0.5 / dx
-    d[0, 0], d[0, 1] = -1.0 / dx, 1.0 / dx
-    d[n, n - 1], d[n, n] = -1.0 / dx, 1.0 / dx
-    return d
-
-
 def grid_operator_matrix(n: int, dx: float, order: FractionalOrder | float) -> np.ndarray:
     """Dense matrix M with (M @ u)[i] the gridded Jumarie derivative of the
     samples u at node i: product integration of u - u[0] followed by central
-    differencing, one-sided at both endpoints.  At alpha = 1 this reduces to
-    plain differencing of u."""
+    differencing (np.gradient), one-sided at both endpoints.  At alpha = 1
+    this reduces to plain differencing of u."""
     alpha = as_order(order).alpha
-    diff = _difference_matrix(n, dx)
     if alpha == 1.0:
-        return diff
-    w = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        w[i, : i + 1] = _kernel_node_weights(1.0 - alpha, i * dx, i)
-    m = diff @ w / gamma(1.0 - alpha)
-    # acting on u rather than u - u[0]: fold the subtraction into column 0
-    m[:, 0] -= m @ np.ones(n + 1)
-    return m
+        return np.gradient(np.eye(n + 1), dx, axis=0)
+    # row i integrates over [0, i*dx]; its weight on node j >= 1 depends only
+    # on the lag i - j, so one n-panel weight vector, reversed, fills the
+    # lower triangle (a Toeplitz matrix)
+    reversed_w = _kernel_node_weights(1.0 - alpha, n * dx, n)[::-1]
+    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+    w = np.tril(reversed_w[np.abs(lag)])
+    # acting on u rather than u - u[0]: column 0 carries minus the row sum
+    w[:, 0] = -w[:, 1:].sum(axis=1)
+    return np.gradient(w, dx, axis=0) / gamma(1.0 - alpha)
 
 
 def jumarie_derivative_grid(

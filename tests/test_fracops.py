@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fracwave.core import DomainError, euler_power_coefficient, gamma
@@ -9,7 +11,9 @@ from fracwave.expr import BinOp, Literal, evaluate, parse
 from fracwave.fracops import (
     QuadratureConfig,
     Samples1D,
+    _kernel_node_weights,
     caputo_derivative,
+    grid_operator_matrix,
     integral_dx_alpha,
     jumarie_derivative,
     jumarie_derivative_grid,
@@ -55,6 +59,13 @@ class TestRlIntegral:
 
     def test_zero_upper_limit(self):
         assert rl_integral(parse("sin(x)"), 0.5, 0.0, CFG) == 0.0
+
+    def test_zero_upper_limit_keeps_row_shape(self):
+        rows = lambda ts: np.stack([ts, 2.0 * ts])
+        got = rl_integral(rows, 0.5, 0.0, CFG)
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert np.array_equal(got, np.zeros(2))
+        assert rl_integral(rows, 0.5, 1.0, CFG).shape == (2,)
 
     def test_negative_x_rejected(self):
         with pytest.raises(DomainError):
@@ -200,6 +211,46 @@ class TestIntegralDxAlpha:
         assert got == pytest.approx(2.0 / 3.0, rel=1e-12)
         oracle = math.gamma(1.5) * brute_force_rl_integral(lambda s: s, 0.5, 1.0)
         assert got == pytest.approx(oracle, rel=1e-10)
+
+
+def reference_grid_operator(n, dx, alpha):
+    """The operator assembled term by term: an explicit difference stencil
+    (central inside, one-sided at both ends) times a weight matrix whose row i
+    is the product rule on [0, i*dx], with the u[0] subtraction folded into
+    column 0 afterwards."""
+    d = np.zeros((n + 1, n + 1))
+    idx = np.arange(1, n)
+    d[idx, idx - 1] = -0.5 / dx
+    d[idx, idx + 1] = 0.5 / dx
+    d[0, 0], d[0, 1] = -1.0 / dx, 1.0 / dx
+    d[n, n - 1], d[n, n] = -1.0 / dx, 1.0 / dx
+    if alpha == 1.0:
+        return d
+    w = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        w[i, : i + 1] = _kernel_node_weights(1.0 - alpha, i * dx, i)
+    m = d @ w / gamma(1.0 - alpha)
+    m[:, 0] -= m @ np.ones(n + 1)
+    return m
+
+
+class TestGridOperatorMatrix:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(4, 512),
+        st.floats(0.02, 1.0, exclude_max=True),
+        st.floats(1e-3, 3.0),
+    )
+    def test_matches_reference(self, n, alpha, dx):
+        got = grid_operator_matrix(n, dx, alpha)
+        ref = reference_grid_operator(n, dx, alpha)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(4, 512), st.floats(1e-3, 3.0))
+    def test_classical_order_is_the_stencil_bitwise(self, n, dx):
+        assert np.array_equal(grid_operator_matrix(n, dx, 1.0), reference_grid_operator(n, dx, 1.0))
 
 
 class TestGridOperator:
