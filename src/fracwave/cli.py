@@ -99,7 +99,8 @@ def _require_number(raw: dict, key: str, positive: bool = True) -> float:
         raise ProblemFileError(f"key '{key}' must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value) or (positive and value <= 0.0):
-        raise ProblemFileError(f"key '{key}' must be a finite positive number, got {value!r}")
+        kind = "finite positive" if positive else "finite"
+        raise ProblemFileError(f"key '{key}' must be a {kind} number, got {value!r}")
     return value
 
 
@@ -136,8 +137,10 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     grids = {}
     for key in ("nx", "nt"):
         value = raw[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 2:
-            raise ProblemFileError(f"key '{key}' must be an integer >= 2, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < MIN_GRID_POINTS:
+            raise ProblemFileError(
+                f"key '{key}' must be an integer >= {MIN_GRID_POINTS}, got {value!r}"
+            )
         grids[key] = value
 
     exprs = {}
@@ -162,10 +165,10 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     unknown_q = sorted(set(quad) - set(_QUAD_KEYS))
     if unknown_q:
         raise ProblemFileError(f"unknown quadrature keys: {', '.join(unknown_q)}")
-    abs_tol = float(quad.get("abs_tol", 1e-10))
-    rel_tol = float(quad.get("rel_tol", 0.0))
+    # the keys left are tolerance components; Tolerance supplies the defaults
+    tol = {key: _require_number(quad, key, positive=False) for key in quad}
     try:
-        cfg = QuadratureConfig(adaptive_tol=Tolerance(abs_tol, rel_tol))
+        cfg = QuadratureConfig(adaptive_tol=Tolerance(**tol))
         problem = WaveProblem(
             FractionalOrder(alpha), c, exprs["f"], exprs["g"], x_max, t_max
         )

@@ -54,12 +54,15 @@ def as_order(order: FractionalOrder | float) -> FractionalOrder:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair; at least one component must be positive."""
+    """Absolute/relative tolerance pair: finite, non-negative, at least one
+    component positive."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise DomainError("tolerances must be finite")
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
             raise DomainError("tolerances must be non-negative")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:

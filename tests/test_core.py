@@ -72,6 +72,13 @@ class TestTolerance:
         with pytest.raises(DomainError):
             Tolerance(-1e-3, 0.0)
 
+    @pytest.mark.parametrize("abs_tol, rel_tol", [
+        (math.nan, 0.0), (math.inf, 0.0), (1e-8, math.nan), (1e-8, math.inf),
+    ])
+    def test_rejects_non_finite(self, abs_tol, rel_tol):
+        with pytest.raises(DomainError, match="finite"):
+            Tolerance(abs_tol, rel_tol)
+
     def test_bound_combines_components(self):
         tol = Tolerance(1e-8, 1e-6)
         assert tol.bound(100.0) == pytest.approx(1e-8 + 1e-4)
