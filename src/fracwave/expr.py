@@ -300,11 +300,6 @@ def evaluate(expr: Expression, value):
     return float(result)
 
 
-def as_function(expr: Expression) -> Callable:
-    """Vectorized callable view of an expression."""
-    return lambda x: evaluate(expr, x)
-
-
 def to_text(expr: Expression) -> str:
     """Render an AST back to parseable text (fully parenthesized where needed)."""
     if isinstance(expr, Literal):
