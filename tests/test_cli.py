@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fracwave.solver import (
 from fracwave.verify import MIN_RESIDUAL_CELLS
 
 TWO_PI = 2.0 * math.pi
+SHIPPED = sorted((Path(__file__).parent.parent / "problems").glob("*.yaml"))
 
 
 def write_problem(path, **overrides):
@@ -61,11 +63,8 @@ class TestProblemFile:
         assert pf.equation == "dalembert"
 
     def test_shipped_problem_files_are_valid(self):
-        from pathlib import Path
-
-        shipped = sorted((Path(__file__).parent.parent / "problems").glob("*.yaml"))
-        assert len(shipped) == 4
-        for path in shipped:
+        assert len(SHIPPED) == 4
+        for path in SHIPPED:
             pf = load_problem_file(path)
             assert 0.0 < pf.problem.alpha <= 1.0
 
@@ -101,6 +100,22 @@ class TestProblemFile:
             fh.write("quadrature:\n  abs_tol: 1.0e-8\n")
         pf = load_problem_file(path)
         assert pf.cfg.adaptive_tol.abs_tol == 1e-8
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "abc", "true"])
+    @pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
+    def test_bad_tolerance_rejected(self, tmp_path, key, value):
+        # never solved: a NaN tolerance that slips through never converges
+        path = write_problem(tmp_path / "p.yaml")
+        with path.open("a") as fh:
+            fh.write(f"quadrature:\n  {key}: {value}\n")
+        with pytest.raises(ProblemFileError, match=key):
+            load_problem_file(path)
+
+    @pytest.mark.parametrize("key", ["nx", "nt"])
+    def test_grid_below_minimum_rejected(self, tmp_path, key):
+        path = write_problem(tmp_path / "p.yaml", **{key: MIN_GRID_POINTS - 1})
+        with pytest.raises(ProblemFileError, match=f"'{key}' must be an integer >= {MIN_GRID_POINTS}"):
+            load_problem_file(path)
 
     def test_unknown_quadrature_key_rejected(self, tmp_path):
         # n_panels is rejected too: no solution reads a panel count
@@ -260,6 +275,24 @@ class TestVerifyCommand:
         )
         assert rc == EXIT_INPUT
         capsys.readouterr()
+
+
+class TestShippedProblemFiles:
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_verify_passes(self, path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", str(path), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["passed"] is True
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_solve_writes_one_row_per_point(self, path, tmp_path):
+        out = tmp_path / "field.csv"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        pf = load_problem_file(path)
+        x, t, u = read_csv(out)
+        assert u.shape == (pf.nx * pf.nt,)
+        assert np.unique(x).size == pf.nx and np.unique(t).size == pf.nt
 
 
 class TestFiguresCommand:
