@@ -154,15 +154,13 @@ def _rl_derivative_fn(fn: Callable, alpha: float, x: float, cfg: QuadratureConfi
     if x < 0.0:
         raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
     if alpha == 1.0:
-        return _float_if_scalar(_fn_derivative_on(fn, np.array([x]))[..., 0])
-    inv_g = 1.0 / gamma(1.0 - alpha)
-
-    def w(ys: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [inv_g * _singular_integral(fn, 1.0 - alpha, y, cfg.n_panels) for y in ys],
-            axis=-1,
+        w = fn
+    else:
+        inv_g = 1.0 / gamma(1.0 - alpha)
+        # the (1 - alpha) R-L integral at each upper limit, along the last axis
+        w = lambda ys: np.stack(
+            [inv_g * _singular_integral(fn, 1.0 - alpha, y, cfg.n_panels) for y in ys], axis=-1
         )
-
     # outer derivative of w, forward where x - h would leave the domain (this
     # defines values at the left terminal as limits from the right)
     return _float_if_scalar(_fn_derivative_on(w, np.array([x]))[..., 0])

@@ -114,7 +114,8 @@ class TestProblemFile:
     @pytest.mark.parametrize("key", ["nx", "nt"])
     def test_grid_below_minimum_rejected(self, tmp_path, key):
         path = write_problem(tmp_path / "p.yaml", **{key: MIN_GRID_POINTS - 1})
-        with pytest.raises(ProblemFileError, match=f"'{key}' must be an integer >= {MIN_GRID_POINTS}"):
+        message = f"'{key}' must be an integer >= {MIN_GRID_POINTS}"
+        with pytest.raises(ProblemFileError, match=message):
             load_problem_file(path)
 
     def test_unknown_quadrature_key_rejected(self, tmp_path):
