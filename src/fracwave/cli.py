@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,8 +232,8 @@ def cmd_solve(args) -> int:
 def _override_tol(pf: ProblemFile, tol: float | None) -> ProblemFile:
     if tol is None:
         return pf
-    cfg = QuadratureConfig(adaptive_tol=Tolerance(tol, pf.cfg.adaptive_tol.rel_tol))
-    return ProblemFile(pf.problem, pf.nx, pf.nt, pf.equation, cfg)
+    adaptive_tol = replace(pf.cfg.adaptive_tol, abs_tol=tol)
+    return replace(pf, cfg=replace(pf.cfg, adaptive_tol=adaptive_tol))
 
 
 def cmd_verify(args) -> int:
@@ -376,11 +376,7 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for alpha in alphas:
-        base = pf.problem
-        problem = WaveProblem(
-            FractionalOrder(alpha), base.speed, base.f, base.g, base.x_max, base.t_max
-        )
-        sub = ProblemFile(problem, nx, nt, pf.equation, pf.cfg)
+        sub = replace(pf, problem=replace(pf.problem, order=FractionalOrder(alpha)))
         field = evaluate_field(_solve(sub), nx, nt)
         write_field_csv(field, outdir / f"alpha_{alpha:g}.csv")
     return EXIT_OK

@@ -68,8 +68,9 @@ class Tolerance:
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise DomainError("abs_tol and rel_tol cannot both be zero")
 
-    def bound(self, scale: float) -> float:
-        """Allowed deviation for a quantity of the given magnitude."""
+    def bound(self, scale):
+        """Allowed deviation for a quantity of the given magnitude;
+        elementwise on arrays."""
         return self.abs_tol + self.rel_tol * abs(scale)
 
 

@@ -207,25 +207,29 @@ class _Parser:
         )
 
 
-def _fold_constant(expr: Expression, position: int) -> float:
-    """Reduce a constant sub-expression (an exponent) to a float."""
+def _is_constant(expr: Expression) -> bool:
+    """True for arithmetic on literals alone: no x and no function."""
     if isinstance(expr, Literal):
-        return expr.value
+        return True
     if isinstance(expr, Neg):
-        return -_fold_constant(expr.operand, position)
+        return _is_constant(expr.operand)
     if isinstance(expr, BinOp):
-        left = _fold_constant(expr.left, position)
-        right = _fold_constant(expr.right, position)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        return left / right
+        return _is_constant(expr.left) and _is_constant(expr.right)
     if isinstance(expr, Pow):
-        return _fold_constant(expr.base, position) ** expr.exponent
-    raise ParseError("exponent must be a constant expression", position)
+        return _is_constant(expr.base)
+    return False
+
+
+def _fold_constant(expr: Expression, position: int) -> float:
+    """Reduce a constant sub-expression (an exponent) to a finite float,
+    through the evaluator and its finite checks."""
+    if not _is_constant(expr):
+        raise ParseError("exponent must be a constant expression", position)
+    try:
+        # a literal such as 1e999 is already inf, so the result is checked too
+        return float(_check_finite(_eval(expr, None), expr, "non-finite value"))
+    except EvaluationError as exc:
+        raise ParseError(f"exponent must be a finite real number: {exc}", position) from None
 
 
 def parse(text: str) -> Expression:

@@ -106,6 +106,10 @@ def _singular_integral(fn: Callable, mu: float, upper: float, n: int):
     if upper == 0.0:
         # an empty interval: zeros shaped like fn's rows, learnt at one node
         return _float_if_scalar(np.zeros(np.shape(fn(np.zeros(1)))[:-1]))
+    if upper / n < np.finfo(float).tiny:
+        # panels this narrow are subnormal or 0 wide (0/0 weights); on an
+        # interval this short one panel resolves any continuous integrand
+        n = 1
     nodes = np.linspace(0.0, upper, n + 1)
     fx = np.asarray(fn(nodes), dtype=float)
     out = fx @ _kernel_node_weights(mu, upper, n)
@@ -204,16 +208,18 @@ def caputo_derivative(
     order: FractionalOrder | float,
     x: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+) -> float | np.ndarray:
     """Caputo derivative: the (1-alpha) R-L integral of f', with f' obtained by
-    differencing f (this package's expressions carry no symbolic derivative)."""
+    differencing f (this package's expressions carry no symbolic derivative).
+
+    Rows of samples are handled as in jumarie_derivative, at every order."""
     alpha = as_order(order).alpha
     if x < 0.0:
         raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
     fn = _as_callable(f)
     fprime = lambda nodes: _fn_derivative_on(fn, np.asarray(nodes, dtype=float))
     if alpha == 1.0:
-        return float(fprime(np.array([x]))[0])
+        return _float_if_scalar(fprime(np.array([x]))[..., 0])
     return _singular_integral(fprime, 1.0 - alpha, x, cfg.n_panels) / gamma(1.0 - alpha)
 
 

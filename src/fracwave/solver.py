@@ -5,7 +5,7 @@ X' = x^alpha / gamma(1+alpha), T' = t^alpha / gamma(1+alpha).
 The second-order solution splits the displacement profile into two
 counter-propagating waves moving at speed c^alpha in the scaled frame plus a
 definite integral of the velocity profile g over [lo, hi] =
-[X' - c^alpha T', X' + c^alpha T'] (times the scale factor).
+[X' - c^alpha T', X' + c^alpha T'].
 
 Every velocity integral of a solution comes from one antiderivative table,
 built on first use and cached on the solution:
@@ -40,7 +40,7 @@ import numpy as np
 from .core import DomainError, FractionalOrder, as_order
 from .expr import Expression, evaluate
 from .fracops import DEFAULT_CONFIG, QuadratureConfig, QuadratureError
-from .transform import TransformSpec, fractal_scale
+from .transform import fractal_scale
 
 SUBDIVISION_BUDGET = 2 ** 20  # per requested integral
 _CHUNK = 4096  # grid points per evaluation batch; fixed for determinism
@@ -151,9 +151,11 @@ def g_integral(
 class WaveProblem:
     """Cauchy problem data on the quarter-plane x, t >= 0.
 
-    f and g are profiles of one abstract argument, applied to the scaled
-    coordinate X'; both must accept the full (possibly negative) range of
-    scaled arguments reached from the domain corners.
+    f and g are profiles of one abstract argument, applied in the scaled
+    frame X' = x^alpha / gamma(1+alpha), T' = t^alpha / gamma(1+alpha); to
+    stretch an argument, compose the profile with a constant factor.  Both
+    must accept the full (possibly negative) range of scaled arguments
+    reached from the domain corners.
     """
 
     order: FractionalOrder
@@ -162,7 +164,6 @@ class WaveProblem:
     g: Expression
     x_max: float
     t_max: float
-    transform: TransformSpec | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", as_order(self.order))
@@ -170,10 +171,6 @@ class WaveProblem:
             raise DomainError(f"wave speed must be > 0, got {self.speed!r}")
         if not (self.x_max > 0.0 and self.t_max > 0.0):
             raise DomainError("x_max and t_max must be positive")
-        if self.transform is None:
-            object.__setattr__(self, "transform", TransformSpec(self.order))
-        elif self.transform.order.alpha != self.order.alpha:
-            raise DomainError("problem order and transform order disagree")
         lo, hi = self.scaled_argument_range()
         for profile in (self.f, self.g):
             evaluate(profile, np.array([lo, 0.0, hi]))  # reject unevaluable profiles early
@@ -187,20 +184,14 @@ class WaveProblem:
         """Propagation speed c^alpha in the scaled frame."""
         return self.speed ** self.alpha
 
-    @property
-    def argument_scale(self) -> float:
-        """Combined profile-argument factor (p q)^alpha from the scale factors."""
-        return self.transform.p ** self.alpha * self.transform.q ** self.alpha
-
     def scaled_coords(self, x, t):
         return fractal_scale(x, self.alpha), fractal_scale(t, self.alpha)
 
     def scaled_argument_range(self) -> tuple[float, float]:
         """Range of profile arguments reachable from the domain corners."""
         xp, tp = self.scaled_coords(self.x_max, self.t_max)
-        s = self.argument_scale
         c_a = self.wave_scale
-        return float(s * (0.0 - c_a * tp)), float(s * (xp + c_a * tp))
+        return float(-c_a * tp), float(xp + c_a * tp)
 
 
 def characteristic_constant(
@@ -236,16 +227,15 @@ class ClosedFormSolution:
         prob = self.problem
         xp, tp = prob.scaled_coords(x, t)
         c_a = prob.wave_scale
+        lo = xp - c_a * tp
         if self.kind == "first_order":
-            return np.asarray(evaluate(prob.f, xp - c_a * tp), dtype=float)
-        s = prob.argument_scale
-        hi = s * (xp + c_a * tp)
-        lo = s * (xp - c_a * tp)
+            return np.asarray(evaluate(prob.f, lo), dtype=float)
+        hi = xp + c_a * tp
         f_part = 0.5 * (
             np.asarray(evaluate(prob.f, hi), dtype=float)
             + np.asarray(evaluate(prob.f, lo), dtype=float)
         )
-        return f_part + self._velocity_integral(lo, hi) / (2.0 * c_a * s)
+        return f_part + self._velocity_integral(lo, hi) / (2.0 * c_a)
 
     def evaluate(self, x: float, t: float) -> float:
         return float(self.evaluate_many(np.array([x]), np.array([t]))[0])
@@ -315,7 +305,7 @@ class ClosedFormSolution:
         integral = self._velocity_integral(np.array([lo]), np.array([hi]))[0]
         if y < 0.0:
             integral = -integral
-        half_int = integral / (2.0 * prob.wave_scale * prob.argument_scale)
+        half_int = integral / (2.0 * prob.wave_scale)
         return 0.5 * evaluate(prob.f, y), half_int
 
 
@@ -330,11 +320,8 @@ def solve_dalembert(
 ) -> ClosedFormSolution:
     """Two-wave solution of the 2*alpha-order wave equation.
 
-    With scale factors p = q = 1 (the default) this satisfies both initial
-    conditions: u(x, 0) = f(X') exactly, and the alpha-order time derivative
-    at t = 0 equals g(X').  Non-unit p, q are carried through the printed
-    composition verbatim; supplying profiles pre-composed with the inverse
-    (p q)^alpha scaling makes the physical solution scale-invariant.
+    It satisfies both initial conditions: u(x, 0) = f(X') exactly, and the
+    alpha-order time derivative at t = 0 equals g(X').
     """
     return ClosedFormSolution("dalembert", problem, cfg)
 

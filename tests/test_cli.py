@@ -93,6 +93,11 @@ class TestProblemFile:
         with pytest.raises(ProblemFileError, match="position 4"):
             load_problem_file(path)
 
+    def test_non_finite_exponent_rejected(self, tmp_path):
+        path = write_problem(tmp_path / "p.yaml", f='"x^((-8)^0.5)"')
+        with pytest.raises(ProblemFileError, match="key 'f'.*finite real"):
+            load_problem_file(path)
+
     def test_quadrature_overrides(self, tmp_path):
         path = tmp_path / "p.yaml"
         write_problem(path)

@@ -76,6 +76,16 @@ class TestParse:
         with pytest.raises(ParseError, match="constant"):
             parse("2^x")
 
+    @pytest.mark.parametrize(
+        "text", ["x^(1/0)", "x^(10^400)", "x^(0^-1)", "x^((-8)^0.5)", "x^1e999"]
+    )
+    def test_exponent_must_fold_to_finite_real(self, text):
+        # the exponent is folded by the evaluator, so its finite checks apply;
+        # (-8)^0.5 must not fold to a complex exponent
+        with pytest.raises(ParseError, match="finite real") as err:
+            parse(text)
+        assert err.value.position == 1
+
 
 class TestEvaluate:
     def test_square_at_three(self):

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from fracwave.core import DomainError, euler_power_coefficient, gamma
-from fracwave.expr import BinOp, Literal, evaluate, parse
+from fracwave.expr import BinOp, Literal, Pow, Var, evaluate, parse
 from fracwave.fracops import (
     QuadratureConfig,
     Samples1D,
@@ -60,6 +60,13 @@ class TestRlIntegral:
     def test_zero_upper_limit(self):
         assert rl_integral(parse("sin(x)"), 0.5, 0.0, CFG) == 0.0
 
+    @pytest.mark.parametrize("x", [5e-324, 4e-321, 1e-310])
+    def test_subnormal_panel_width(self, x):
+        # x / n_panels underflows: the rule must neither divide 0 by 0 nor
+        # lose the subnormal digits
+        expected = x**0.5 / math.gamma(1.5)
+        assert rl_integral(parse("1"), 0.5, x, CFG) == pytest.approx(expected, rel=1e-12)
+
     def test_zero_upper_limit_keeps_row_shape(self):
         rows = lambda ts: np.stack([ts, 2.0 * ts])
         got = rl_integral(rows, 0.5, 0.0, CFG)
@@ -111,6 +118,14 @@ class TestCaputoDerivative:
         got = caputo_derivative(parse("x^2"), 0.5, 1.0, CFG)
         assert got == pytest.approx(expected, rel=1e-9)
 
+    def test_rows_of_samples_at_classical_order(self):
+        # one derivative per row at alpha = 1 too, as rl_derivative gives
+        rows = lambda t: np.stack([t**0.6, 3.0 * t + 2.0])
+        got = caputo_derivative(rows, 1.0, 0.5)
+        assert got.shape == (2,)
+        np.testing.assert_allclose(got, rl_derivative(rows, 1.0, 0.5), rtol=1e-12)
+        np.testing.assert_allclose(got, [0.6 * 0.5**-0.4, 3.0], rtol=1e-7)
+
 
 class TestJumarieDerivative:
     def test_annihilates_constants(self):
@@ -159,6 +174,31 @@ class TestJumarieDerivative:
         assert vel[0] == pytest.approx(single, rel=1e-12)
         # the offset 2 cancels in u - u(0), leaving rounding of 2 amplified by 1/h
         assert vel[1] == pytest.approx(3.0 * single, rel=1e-6)
+
+
+class TestIdentities:
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([jumarie_derivative, caputo_derivative]),
+        st.floats(-1e3, 1e3),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(0.0, 5.0),
+    )
+    @example(jumarie_derivative, 7.5, 1.0, 2.0)
+    @example(caputo_derivative, -7.5, 1.0, 0.0)
+    def test_constants_map_to_exact_zero(self, operator, constant, alpha, x):
+        assert operator(Literal(constant), alpha, x) == 0.0
+
+    @settings(deadline=None)
+    @given(
+        st.floats(1.0, 3.0),
+        st.floats(0.05, 1.0, exclude_max=True),
+        st.floats(0.25, 4.0),
+    )
+    def test_power_rule(self, beta, alpha, x):
+        expected = euler_power_coefficient(beta, alpha) * x ** (beta - alpha)
+        got = jumarie_derivative(Pow(Var(), beta), alpha, x, QuadratureConfig(1024))
+        assert got == pytest.approx(expected, rel=1e-5)
 
 
 class TestOperatorAgreement:
