@@ -185,19 +185,21 @@ def _solve(pf: ProblemFile) -> ClosedFormSolution:
 
 def write_field_csv(field: Field2D, path: str | Path) -> None:
     """CSV with header x,t,u; rows iterate x within each t (t-major order);
-    17 significant digits, so files round-trip and are byte-deterministic."""
-    tt, xx = np.meshgrid(field.t, field.x, indexing="ij")
-    # one savetxt row per time level, holding every x of it: one format and
-    # one write per time level instead of per point
-    rows = np.stack((xx, tt, field.values), axis=-1).reshape(field.t.size, -1)
+    17 significant digits, so files round-trip and are byte-deterministic.
+
+    Each x and each t is formatted once: a per-level template holds the
+    formatted x column, the level's t goes into its placeholder, and one %
+    formats the level's u values."""
+    # "\0" marks the t column: formatted floats never contain it, nor "%"
+    template = "".join(f"{x},\0,%.17g\n" for x in _g17(field.x))
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(
-            fh,
-            rows,
-            fmt="\n".join(["%.17g,%.17g,%.17g"] * field.x.size),
-            header="x,t,u",
-            comments="",
-        )
+        fh.write("x,t,u\n")
+        for t, row in zip(_g17(field.t), field.values):
+            fh.write(template.replace("\0", t) % tuple(row.tolist()))
+
+
+def _g17(values: np.ndarray) -> list[str]:
+    return ["%.17g" % v for v in values.tolist()]
 
 
 # --- subcommands ----------------------------------------------------------------

@@ -234,20 +234,29 @@ def _fold_constant(expr: Expression, position: int) -> float:
 
 def parse(text: str) -> Expression:
     """Parse expression text into an AST; rejects anything outside the grammar."""
-    parser = _Parser(_tokenize(text))
+    tokens = _tokenize(text)
+    parser = _Parser(tokens)
     node = parser.parse_expression()
     trailing = parser.peek()
     if trailing.kind != _TOK_END:
         raise ParseError("trailing input", trailing.position, expected=("end of input",))
+    # checked after the parse, so that an exponent such as x^1e999 is still
+    # reported whole, at its caret, by the fold
+    for tok in tokens:
+        if tok.kind == _TOK_NUMBER and math.isinf(float(tok.text)):
+            raise ParseError(f"number '{tok.text}' overflows a double", tok.position)
     return node
 
 
 # --- evaluation ------------------------------------------------------------
 
 
+def _all_finite(value) -> bool:
+    return np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)
+
+
 def _check_finite(value, node: Expression, what: str):
-    ok = np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)
-    if not ok:
+    if not _all_finite(value):
         raise EvaluationError(what, node)
     return value
 
@@ -275,8 +284,14 @@ def _eval(node: Expression, x):
         base = _eval(node.base, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.power(base, node.exponent)
-        return _check_finite(
-            out, node, "invalid power (negative base with fractional exponent, or 0 to a negative power)"
+        if _all_finite(out):
+            return out
+        # an infinite power of a finite non-zero base is an overflow
+        overflow = np.isinf(out) & np.isfinite(base) & (base != 0)
+        if np.all(overflow | np.isfinite(out)):
+            raise EvaluationError("power overflows", node)
+        raise EvaluationError(
+            "invalid power (negative base with fractional exponent, or 0 to a negative power)", node
         )
     if isinstance(node, Func):
         arg = _eval(node.arg, x)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracwave.cli import (
     EXIT_INPUT,
@@ -98,6 +100,15 @@ class TestProblemFile:
         with pytest.raises(ProblemFileError, match="key 'f'.*finite real"):
             load_problem_file(path)
 
+    def test_overflowing_literal_rejected(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.yaml", f='"1e999"')
+        with pytest.raises(ProblemFileError, match="key 'f'.*'1e999' overflows a double"):
+            load_problem_file(path)
+        rc = main(["solve", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_INPUT
+        assert "overflows a double" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_quadrature_overrides(self, tmp_path):
         path = tmp_path / "p.yaml"
         write_problem(path)
@@ -134,7 +145,46 @@ class TestProblemFile:
                 load_problem_file(path)
 
 
+# finite doubles, with the edge cases of %.17g drawn often: signed zero,
+# subnormals and the ends of the range
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308]
+FINITE = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def fields(draw):
+    nx, nt = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    x = draw(st.lists(FINITE, min_size=nx, max_size=nx))
+    t = draw(st.lists(FINITE, min_size=nt, max_size=nt))
+    u = [draw(st.lists(FINITE, min_size=nx, max_size=nx)) for _ in range(nt)]
+    return Field2D(x, t, u)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
 class TestWriteFieldCsv:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=fields())
+    def test_matches_per_point_reference_and_round_trips(self, tmp_path, field):
+        out = tmp_path / "f.csv"
+        write_field_csv(field, out)
+        reference = "x,t,u\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % (x, t, u)
+            for t, row in zip(field.t.tolist(), field.values.tolist())
+            for x, u in zip(field.x.tolist(), row)
+        )
+        assert out.read_bytes() == reference.encode()
+        data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        tt, xx = np.meshgrid(field.t, field.x, indexing="ij")
+        assert np.array_equal(bits(data[:, 0]), bits(xx.ravel()))
+        assert np.array_equal(bits(data[:, 1]), bits(tt.ravel()))
+        assert np.array_equal(bits(data[:, 2]), bits(field.values.ravel()))
+
     def test_golden_format(self, tmp_path):
         # header x,t,u; x varies fastest; 17 significant digits with trailing
         # zeros dropped; signed zero kept; LF line endings

@@ -86,6 +86,17 @@ class TestParse:
             parse(text)
         assert err.value.position == 1
 
+    @pytest.mark.parametrize(
+        "text, position", [("1e999", 0), ("x + 1e999", 4), ("sin(2E+400 * x)", 4)]
+    )
+    def test_overflowing_literal_rejected(self, text, position):
+        with pytest.raises(ParseError, match="overflows a double") as err:
+            parse(text)
+        assert err.value.position == position
+
+    def test_largest_literal_accepted(self):
+        assert parse("1.7976931348623157e308") == Literal(1.7976931348623157e308)
+
 
 class TestEvaluate:
     def test_square_at_three(self):
@@ -161,6 +172,20 @@ class TestEvaluate:
     def test_overflow_raises_not_inf(self):
         with pytest.raises(EvaluationError):
             evaluate(parse("exp(x)"), 1000.0)
+
+    @pytest.mark.parametrize("value", [100.0, np.array([1.0, -100.0])])
+    def test_power_overflow_is_named(self, value):
+        with pytest.raises(EvaluationError, match="power overflows"):
+            evaluate(parse("x^400"), value)
+
+    def test_folded_exponent_overflow_is_named(self):
+        with pytest.raises(ParseError, match="power overflows"):
+            parse("x^(10^400)")
+
+    @pytest.mark.parametrize("text, value", [("x^0.5", -1.0), ("x^-1", 0.0)])
+    def test_invalid_power_keeps_its_message(self, text, value):
+        with pytest.raises(EvaluationError, match=r"invalid power \(negative base"):
+            evaluate(parse(text), value)
 
     def test_array_error_detected(self):
         with pytest.raises(EvaluationError):
