@@ -168,7 +168,7 @@ def bits(values):
 
 
 class TestWriteFieldCsv:
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(field=fields())
     def test_matches_per_point_reference_and_round_trips(self, tmp_path, field):
         out = tmp_path / "f.csv"
