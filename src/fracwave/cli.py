@@ -31,6 +31,7 @@ from .solver import (
 )
 from .verify import (
     MIN_RESIDUAL_CELLS,
+    ROUTE_EQUIVALENCE_TOL,
     check_initial_conditions,
     compare_candidate_forms,
     candidate_product_forms,
@@ -122,9 +123,10 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     missing = sorted(set(_REQUIRED_KEYS) - set(raw))
     if missing:
         raise ProblemFileError(f"missing keys: {', '.join(missing)}")
-    if raw["schema_version"] != SCHEMA_VERSION:
+    version = raw["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ProblemFileError(
-            f"unsupported schema_version {raw['schema_version']!r} (expected {SCHEMA_VERSION})"
+            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
 
     alpha = _require_number(raw, "alpha")
@@ -245,7 +247,7 @@ def cmd_verify(args) -> int:
                     "alpha": pf.problem.alpha, "equation": pf.equation}
     failures: list[str] = []
     sol = _solve(pf)
-    candidate = getattr(args, "candidate_form", "quadrature")
+    candidate = args.candidate_form
     subject = sol
     if candidate != "quadrature":
         forms = candidate_product_forms(pf.problem)
@@ -276,9 +278,9 @@ def cmd_verify(args) -> int:
         report["route_equivalence"] = {
             "applicable": True,
             "max_deviation": deviation,
-            "tol": 1e-12,
+            "tol": ROUTE_EQUIVALENCE_TOL,
         }
-        if deviation > 1e-12:
+        if deviation > ROUTE_EQUIVALENCE_TOL:
             failures.append("characteristics and transform routes disagree")
 
     report["failures"] = failures
@@ -371,8 +373,6 @@ def cmd_sweep(args) -> int:
         if not 0.0 < alpha <= 1.0:
             raise ProblemFileError(f"alpha {alpha} outside (0, 1]")
         alphas.append(alpha)
-    if not alphas:
-        raise ProblemFileError("empty alpha list")
     nx, nt = _grid(args, pf.nx, pf.nt)
     pf = _override_tol(pf, args.tol)
     outdir = Path(args.out)

@@ -9,6 +9,7 @@ to tight: ``+ -``, ``* /``, unary minus, ``^``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -76,134 +77,104 @@ _FUNCTIONS: dict[str, Callable] = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 # --- tokenizer -------------------------------------------------------------
 
-_TOK_NUMBER = "number"
-_TOK_NAME = "name"
-_TOK_OP = "op"
-_TOK_END = "end"
+# After optional whitespace, one token; no group matches at the end of the
+# text or before a character outside the grammar.  float() judges a number.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()]))?"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples, closed by an ("end", "", len(text)) token."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            lexeme = text[start:i]
+    pos = 0
+    while True:
+        match = _TOKEN.match(text, pos)
+        kind, pos = match.lastgroup, match.end()
+        if kind is None:
+            if pos < len(text):
+                raise ParseError(f"unexpected character '{text[pos]}'", pos)
+            tokens.append(("end", "", pos))
+            return tokens
+        lexeme, start = match.group(kind), match.start(kind)
+        if kind == "number":
             try:
                 float(lexeme)
             except ValueError:
                 raise ParseError(f"malformed number '{lexeme}'", start) from None
-            tokens.append(_Token(_TOK_NUMBER, lexeme, start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token(_TOK_NAME, text[start:i], start))
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(_TOK_OP, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character '{c}'", i)
-    tokens.append(_Token(_TOK_END, "", n))
-    return tokens
+        tokens.append((kind, lexeme, start))
 
 
 # --- parser ----------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def position(self) -> int:
+        return self.tokens[self.pos][2]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def accept(self, ops: str) -> str | None:
+        """Consume the next token and return its text if it is one of ops."""
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text
+        return None
 
-    def expect_op(self, text: str) -> None:
-        tok = self.peek()
-        if tok.kind != _TOK_OP or tok.text != text:
-            raise ParseError("syntax error", tok.position, expected=(f"'{text}'",))
-        self.advance()
+    def expect(self, op: str) -> None:
+        if self.accept(op) is None:
+            raise ParseError("syntax error", self.position(), expected=(f"'{op}'",))
 
     def parse_expression(self) -> Expression:
         node = self.parse_term()
-        while self.peek().kind == _TOK_OP and self.peek().text in "+-":
-            op = self.advance().text
+        while op := self.accept("+-"):
             node = BinOp(op, node, self.parse_term())
         return node
 
     def parse_term(self) -> Expression:
         node = self.parse_unary()
-        while self.peek().kind == _TOK_OP and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.accept("*/"):
             node = BinOp(op, node, self.parse_unary())
         return node
 
     def parse_unary(self) -> Expression:
-        if self.peek().kind == _TOK_OP and self.peek().text == "-":
-            self.advance()
+        if self.accept("-"):
             return Neg(self.parse_unary())
         return self.parse_power()
 
     def parse_power(self) -> Expression:
         base = self.parse_atom()
-        if self.peek().kind == _TOK_OP and self.peek().text == "^":
-            caret = self.advance()
+        caret = self.position()
+        if self.accept("^"):
             exponent_expr = self.parse_unary()  # right associative: x^2^3 = x^(2^3)
-            exponent = _fold_constant(exponent_expr, caret.position)
-            return Pow(base, exponent)
+            return Pow(base, _fold_constant(exponent_expr, caret))
         return base
 
     def parse_atom(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == _TOK_NUMBER:
-            self.advance()
-            return Literal(float(tok.text))
-        if tok.kind == _TOK_NAME:
-            self.advance()
-            if tok.text == "x":
+        kind, text, position = self.tokens[self.pos]
+        if kind == "number":
+            self.pos += 1
+            return Literal(float(text))
+        if kind == "name":
+            self.pos += 1
+            if text == "x":
                 return Var()
-            if tok.text in _FUNCTIONS:
-                self.expect_op("(")
+            if text in _FUNCTIONS:
+                self.expect("(")
                 arg = self.parse_expression()
-                self.expect_op(")")
-                return Func(tok.text, arg)
-            raise ParseError(f"unknown identifier '{tok.text}'", tok.position)
-        if tok.kind == _TOK_OP and tok.text == "(":
-            self.advance()
+                self.expect(")")
+                return Func(text, arg)
+            raise ParseError(f"unknown identifier '{text}'", position)
+        if self.accept("("):
             node = self.parse_expression()
-            self.expect_op(")")
+            self.expect(")")
             return node
         raise ParseError(
-            "syntax error", tok.position, expected=("number", "'x'", "function", "'('")
+            "syntax error", position, expected=("number", "'x'", "function", "'('")
         )
 
 
@@ -227,7 +198,7 @@ def _fold_constant(expr: Expression, position: int) -> float:
         raise ParseError("exponent must be a constant expression", position)
     try:
         # a literal such as 1e999 is already inf, so the result is checked too
-        return float(_check_finite(_eval(expr, None), expr, "non-finite value"))
+        return _check_finite(evaluate(expr, 0.0), expr, "non-finite value")
     except EvaluationError as exc:
         raise ParseError(f"exponent must be a finite real number: {exc}", position) from None
 
@@ -237,14 +208,13 @@ def parse(text: str) -> Expression:
     tokens = _tokenize(text)
     parser = _Parser(tokens)
     node = parser.parse_expression()
-    trailing = parser.peek()
-    if trailing.kind != _TOK_END:
-        raise ParseError("trailing input", trailing.position, expected=("end of input",))
+    if parser.tokens[parser.pos][0] != "end":
+        raise ParseError("trailing input", parser.position(), expected=("end of input",))
     # checked after the parse, so that an exponent such as x^1e999 is still
     # reported whole, at its caret, by the fold
-    for tok in tokens:
-        if tok.kind == _TOK_NUMBER and math.isinf(float(tok.text)):
-            raise ParseError(f"number '{tok.text}' overflows a double", tok.position)
+    for kind, lexeme, position in tokens:
+        if kind == "number" and math.isinf(float(lexeme)):
+            raise ParseError(f"number '{lexeme}' overflows a double", position)
     return node
 
 
@@ -252,7 +222,7 @@ def parse(text: str) -> Expression:
 
 
 def _all_finite(value) -> bool:
-    return np.all(np.isfinite(value)) if isinstance(value, np.ndarray) else math.isfinite(value)
+    return bool(np.all(np.isfinite(value)))
 
 
 def _check_finite(value, node: Expression, what: str):
@@ -261,7 +231,9 @@ def _check_finite(value, node: Expression, what: str):
     return value
 
 
-def _eval(node: Expression, x):
+def _eval(node: Expression, x: np.ndarray):
+    """Value of node at x; floating-point warnings are off, as every
+    non-finite intermediate is caught by a check here."""
     if isinstance(node, Literal):
         return node.value
     if isinstance(node, Var):
@@ -277,13 +249,10 @@ def _eval(node: Expression, x):
             return _check_finite(left - right, node, "non-finite difference")
         if node.op == "*":
             return _check_finite(left * right, node, "non-finite product")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.divide(left, right)
-        return _check_finite(out, node, "division by zero")
+        return _check_finite(np.divide(left, right), node, "division by zero")
     if isinstance(node, Pow):
         base = _eval(node.base, x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.power(base, node.exponent)
+        out = np.power(base, node.exponent)
         if _all_finite(out):
             return out
         # an infinite power of a finite non-zero base is an overflow
@@ -295,28 +264,26 @@ def _eval(node: Expression, x):
         )
     if isinstance(node, Func):
         arg = _eval(node.arg, x)
-        with np.errstate(over="ignore"):
-            out = _FUNCTIONS[node.name](arg)
-        return _check_finite(out, node, f"non-finite result of {node.name}")
+        return _check_finite(_FUNCTIONS[node.name](arg), node, f"non-finite result of {node.name}")
     raise TypeError(f"not an Expression node: {node!r}")
 
 
 def evaluate(expr: Expression, value):
-    """Evaluate at a float (returns float) or at an ndarray (returns ndarray).
+    """Evaluate at an ndarray (returns an ndarray of its shape) or at a
+    number (returns a float).
 
-    Division by zero, fractional powers of negative numbers, 0 to a negative
-    power, and overflow all raise EvaluationError rather than propagating
-    NaN/inf.
+    A non-finite argument, division by zero, fractional powers of negative
+    numbers, 0 to a negative power, and overflow all raise EvaluationError
+    rather than propagating NaN/inf.
     """
-    if isinstance(value, np.ndarray):
-        arr = np.asarray(value, dtype=float)
-        out = _eval(expr, arr)
-        return np.broadcast_to(np.asarray(out, dtype=float), arr.shape).copy() \
-            if np.ndim(out) == 0 else np.asarray(out, dtype=float)
-    if not math.isfinite(float(value)):
+    x = np.asarray(value, dtype=float)
+    if not _all_finite(x):
         raise EvaluationError("non-finite argument", expr)
-    result = _eval(expr, float(value))
-    return float(result)
+    with np.errstate(all="ignore"):
+        out = _eval(expr, x)
+    if np.ndim(out) == 0:  # a constant expression, or a scalar argument
+        out = np.full(x.shape, out)
+    return out if isinstance(value, np.ndarray) else float(out)
 
 
 def to_text(expr: Expression) -> str:

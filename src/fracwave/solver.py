@@ -43,7 +43,7 @@ from .fracops import DEFAULT_CONFIG, QuadratureConfig, QuadratureError
 from .transform import fractal_scale
 
 SUBDIVISION_BUDGET = 2 ** 20  # per requested integral
-_CHUNK = 4096  # grid points per evaluation batch; fixed for determinism
+_CHUNK = 4096  # grid points per evaluation batch; bounds memory, results do not depend on it
 _TABLE_CELLS = 1024  # cells of the velocity antiderivative table
 MIN_GRID_POINTS = 2  # per axis, for evaluate_field
 
@@ -229,12 +229,9 @@ class ClosedFormSolution:
         c_a = prob.wave_scale
         lo = xp - c_a * tp
         if self.kind == "first_order":
-            return np.asarray(evaluate(prob.f, lo), dtype=float)
+            return evaluate(prob.f, lo)
         hi = xp + c_a * tp
-        f_part = 0.5 * (
-            np.asarray(evaluate(prob.f, hi), dtype=float)
-            + np.asarray(evaluate(prob.f, lo), dtype=float)
-        )
+        f_part = 0.5 * (evaluate(prob.f, hi) + evaluate(prob.f, lo))
         return f_part + self._velocity_integral(lo, hi) / (2.0 * c_a)
 
     def evaluate(self, x: float, t: float) -> float:
@@ -353,8 +350,8 @@ class Field2D:
 def evaluate_grid(sol, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """u on the tensor grid of xs and ts, as an (ts.size, xs.size) array whose
     row j holds time ts[j].  sol needs only an evaluate_many(x, t) method.
-    Points are visited t-major in fixed batches of _CHUNK, so the result is
-    deterministic and, for the closed forms, identical to one big batch."""
+    Points are visited t-major in batches of _CHUNK; for the closed forms
+    the result is identical to one big batch."""
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     flat_x = xx.ravel()
     flat_t = tt.ravel()

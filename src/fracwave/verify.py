@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -93,7 +93,7 @@ def check_initial_conditions(
     """
     xs = np.linspace(0.0, problem.x_max, nx)
     xp, _ = problem.scaled_coords(xs, np.zeros_like(xs))
-    f_target = np.asarray(evaluate(problem.f, xp), dtype=float)
+    f_target = evaluate(problem.f, xp)
     u0 = sol.evaluate_many(xs, np.zeros_like(xs))
     pos_err = np.abs(u0 - f_target)
     pos_allowed = tol.bound(f_target)
@@ -103,7 +103,7 @@ def check_initial_conditions(
     if isinstance(sol, ClosedFormSolution) and sol.kind == "first_order":
         return InitialConditionReport(nx, position_max, tol, position_pass, None, None, True)
 
-    g_target = np.asarray(evaluate(problem.g, xp), dtype=float)
+    g_target = evaluate(problem.g, xp)
     # one row of window samples per x, copied to C order so that the kernel
     # matmul sums each row in the same order as a contiguous (nx, n) array
     vel = jumarie_derivative(
@@ -130,10 +130,6 @@ class LevelResidual:
     l2: float
     core_linf: float  # diagnostic: central sub-region, all boundary bands excluded
 
-    def to_dict(self) -> dict:
-        return {"nx": self.nx, "nt": self.nt, "linf": self.linf, "l2": self.l2,
-                "core_linf": self.core_linf}
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -153,16 +149,8 @@ class ResidualReport:
         return self.levels[-1].l2
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "collar_cells": self.collar_cells,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "slope": self.slope,
-            "monotone": self.monotone,
-            "residual_linf": self.residual_linf,
-            "residual_l2": self.residual_l2,
-            "notes": list(self.notes),
-        }
+        finest = {"residual_linf": self.residual_linf, "residual_l2": self.residual_l2}
+        return asdict(self) | finest
 
 
 COMPOSITION_NOTE = (
@@ -244,6 +232,8 @@ def pde_residual(
 
 # --- route equivalence ------------------------------------------------------------
 
+ROUTE_EQUIVALENCE_TOL = 1e-12  # largest deviation at which the two routes agree
+
 
 def route_equivalence(
     problem: WaveProblem, n_samples: int = 200, seed: int = 20260810
@@ -276,15 +266,7 @@ class StabilityReport:
     satisfied_derived: bool
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "horizon": self.horizon,
-            "observed_gap": self.observed_gap,
-            "bound_paper": self.bound_paper,
-            "bound_derived": self.bound_derived,
-            "satisfied_paper": self.satisfied_paper,
-            "satisfied_derived": self.satisfied_derived,
-        }
+        return asdict(self)
 
 
 def stability_check(
@@ -313,12 +295,8 @@ def stability_check(
         raise DomainError("stability problems must differ only in their profiles f and g")
     lo, hi = p1.scaled_argument_range()
     args = np.linspace(lo, hi, n_delta_samples)
-    df = np.abs(
-        np.asarray(evaluate(p1.f, args)) - np.asarray(evaluate(p2.f, args))
-    )
-    dg = np.abs(
-        np.asarray(evaluate(p1.g, args)) - np.asarray(evaluate(p2.g, args))
-    )
+    df = np.abs(evaluate(p1.f, args) - evaluate(p2.f, args))
+    dg = np.abs(evaluate(p1.g, args) - evaluate(p2.g, args))
     delta = float(max(df.max(), dg.max()))
 
     f1 = evaluate_field(solve_dalembert(p1), nx, nt)
@@ -361,12 +339,7 @@ class FormComparison:
     note: str = DISCREPANCY_NOTE
 
     def to_dict(self) -> dict:
-        return {
-            "candidates": list(self.candidates),
-            "ic_max_error": dict(self.ic_max_error),
-            "gap_vs_quadrature": dict(self.gap_vs_quadrature),
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _is_sin_of_x(expr) -> bool:
@@ -414,7 +387,7 @@ def compare_candidate_forms(
     xs = np.linspace(0.0, problem.x_max, nx)
     ts = np.linspace(0.0, problem.t_max, nt)
     xp, _ = problem.scaled_coords(xs, 0.0)
-    f_target = np.asarray(evaluate(problem.f, xp), dtype=float)
+    f_target = evaluate(problem.f, xp)
     u_truth = evaluate_grid(sol, xs, ts)
     ic: dict[str, float] = {}
     gaps: dict[str, float] = {}

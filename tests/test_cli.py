@@ -90,6 +90,14 @@ class TestProblemFile:
         with pytest.raises(ProblemFileError, match="schema_version"):
             load_problem_file(path)
 
+    @pytest.mark.parametrize("value", ["true", "1.0"])
+    def test_schema_version_must_be_integer_one(self, tmp_path, capsys, value):
+        path = write_problem(tmp_path / "p.yaml", schema_version=value)
+        with pytest.raises(ProblemFileError, match="unsupported schema_version"):
+            load_problem_file(path)
+        assert main(["solve", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT
+        assert "unsupported schema_version" in capsys.readouterr().err
+
     def test_expression_error_has_position(self, tmp_path):
         path = write_problem(tmp_path / "p.yaml", g='"sin("')
         with pytest.raises(ProblemFileError, match="position 4"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave.expr import (
     BinOp,
@@ -97,6 +99,32 @@ class TestParse:
     def test_largest_literal_accepted(self):
         assert parse("1.7976931348623157e308") == Literal(1.7976931348623157e308)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (".5", Literal(0.5)),
+            ("5.", Literal(5.0)),
+            ("x +1", BinOp("+", Var(), Literal(1.0))),
+            ("x\t+\n1", BinOp("+", Var(), Literal(1.0))),
+            ("x + \u0663", BinOp("+", Var(), Literal(3.0))),  # ARABIC-INDIC DIGIT THREE
+        ],
+    )
+    def test_lexer_edge_cases(self, text, expected):
+        assert parse(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, message, position, expected",
+        [
+            ("1.2.3", "malformed number '1.2.3'", 0, ()),
+            # an exponent marker without digits ends the number; 'e' is a name
+            ("5e", "trailing input", 1, ("end of input",)),
+        ],
+    )
+    def test_lexer_edge_case_errors(self, text, message, position, expected):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert (err.value.position, err.value.expected) == (position, expected)
+
 
 class TestEvaluate:
     def test_square_at_three(self):
@@ -191,6 +219,20 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(parse("1/x"), np.array([1.0, 0.0, 2.0]))
 
+    @settings(max_examples=20, deadline=None)
+    @given(size=st.integers(1, 64), data=st.data())
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("text", [c[0] for c in CORPUS] + ["2^3"])
+    def test_non_finite_argument_raises(self, text, bad, size, data):
+        # checked before evaluation, so a constant expression raises too
+        expr = parse(text)
+        xs = np.linspace(-1.0, 1.0, size)
+        xs[data.draw(st.integers(0, size - 1), label="index")] = bad
+        with pytest.raises(EvaluationError, match="non-finite argument"):
+            evaluate(expr, xs)
+        with pytest.raises(EvaluationError, match="non-finite argument"):
+            evaluate(expr, bad)
+
     def test_error_carries_subexpression(self):
         with pytest.raises(EvaluationError) as err:
             evaluate(parse("2 + 1/x"), 0.0)
@@ -202,3 +244,22 @@ class TestToText:
         for text, _, _ in TestEvaluate.CORPUS:
             expr = parse(text)
             assert parse(to_text(expr)) == expr
+
+    # expression trees the grammar can express: non-negative literals (a
+    # negative one is a Neg), and constant finite exponents
+    TREES = st.recursive(
+        st.just(Var())
+        | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Literal),
+        lambda sub: st.one_of(
+            sub.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            st.builds(Pow, sub, st.floats(allow_nan=False, allow_infinity=False)),
+            st.builds(Func, st.sampled_from(("sin", "cos", "exp")), sub),
+        ),
+        max_leaves=12,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr=TREES)
+    def test_random_trees_round_trip(self, expr):
+        assert parse(to_text(expr)) == expr

@@ -124,6 +124,18 @@ class TestSolveFirstOrder:
         assert sol.evaluate(4.0, 1.0) == pytest.approx(1.128379167095513, rel=1e-11)
 
 
+class TestNonFiniteCoordinates:
+    @pytest.mark.parametrize("solve", [solve_first_order, solve_dalembert])
+    @pytest.mark.parametrize(
+        "x, t", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf)]
+    )
+    def test_evaluate_many_raises(self, solve, x, t):
+        # np.any(x < 0) lets NaN through; the profile evaluation must not
+        sol = solve(problem(0.8, f="0", g="sin(x)"))
+        with pytest.raises(EvaluationError, match="non-finite argument"):
+            sol.evaluate_many(np.array([0.5, x]), np.array([0.5, t]))
+
+
 class TestCharacteristicConstant:
     def test_origin(self):
         assert characteristic_constant(0.0, 0.0, 0.7, 1.0) == 0.0
