@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -94,10 +95,23 @@ class ProblemFile:
     cfg: QuadratureConfig
 
 
+# a number in exponent form; YAML reads it as a float only with a '.' in the
+# mantissa and a sign on the exponent, and as a string otherwise
+_EXPONENT_FORM = re.compile(r"\s*([-+]?)(\d*)\.?(\d*)[eE]([-+]?)(\d+)\s*")
+
+
 def _require_number(raw: dict, key: str, positive: bool = True) -> float:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFileError(f"key '{key}' must be a number, got {value!r}")
+        message = f"key '{key}' must be a number, got {value!r}"
+        match = _EXPONENT_FORM.fullmatch(value) if isinstance(value, str) else None
+        if match and (match[2] or match[3]):
+            sign, whole, frac, exp_sign, exp = match.groups()
+            message += (
+                "; YAML reads an exponent without a sign (or a mantissa without a '.')"
+                f" as a string: write {sign}{whole or '0'}.{frac or '0'}e{exp_sign or '+'}{exp}"
+            )
+        raise ProblemFileError(message)
     value = float(value)
     if not math.isfinite(value) or (positive and value <= 0.0):
         kind = "finite positive" if positive else "finite"

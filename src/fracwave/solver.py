@@ -7,22 +7,22 @@ counter-propagating waves moving at speed c^alpha in the scaled frame plus a
 definite integral of the velocity profile g over [lo, hi] =
 [X' - c^alpha T', X' + c^alpha T'].
 
-Every velocity integral of a solution comes from one antiderivative table,
-built on first use and cached on the solution:
+Every velocity integral of a solution is a difference A(hi) - A(lo) of one
+signed antiderivative A of g, read from a table built on first use and cached
+on the solution:
 
 - Knots: _TABLE_CELLS + 1 evenly spaced points spanning
   WaveProblem.scaled_argument_range().  Each cell is integrated once by
   adaptive Simpson, and G[k] is the cumulative sum up to knot k.
-- Per interval: with k_a the first knot >= lo and k_b the last knot <= hi,
-  the integral is tail[lo, k_a] + (G[k_b] - G[k_a]) + tail[k_b, hi]; both
-  tails are integrated adaptively.  An interval that contains no knot is
-  integrated directly.  Endpoints outside the table range only lengthen the
-  tails.  Each value depends on its own (lo, hi) and the fixed table alone, so
-  results are bit-identical however points are batched.
+- A(y) = G[k] + tail[knots[k], y], with k the last knot <= y clipped to the
+  table; the tail is integrated adaptively and is negative for y below the
+  first knot.  Each value depends on its own y and the fixed table alone, so
+  results are bit-identical however points are batched, and at t = 0
+  (lo == hi) the velocity term is exactly 0.
 - Tolerance split: each cell gets abs_tol / (2 _TABLE_CELLS), so the table
-  contributes at most abs_tol / 2, and each tail gets abs_tol / 4; the sum
-  stays within abs_tol.  A direct integral gets abs_tol.  rel_tol applies to
-  each piece on its own.
+  contributes at most abs_tol / 2, and each of the two tails gets
+  abs_tol / 4; the difference stays within abs_tol.  rel_tol applies to each
+  piece on its own.
 - Consequence: the first dalembert evaluation integrates g over the whole
   scaled argument range, so a velocity profile that cannot be integrated
   anywhere in that range fails on any point, at once.
@@ -38,7 +38,7 @@ from typing import Literal as TypingLiteral
 import numpy as np
 
 from .core import DomainError, FractionalOrder, as_order
-from .expr import Expression, evaluate
+from .expr import Expression, evaluate, to_text
 from .fracops import DEFAULT_CONFIG, QuadratureConfig, QuadratureError
 from .transform import fractal_scale
 
@@ -171,7 +171,13 @@ class WaveProblem:
             raise DomainError(f"wave speed must be > 0, got {self.speed!r}")
         if not (self.x_max > 0.0 and self.t_max > 0.0):
             raise DomainError("x_max and t_max must be positive")
-        lo, hi = self.scaled_argument_range()
+        with np.errstate(over="ignore"):
+            lo, hi = self.scaled_argument_range()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(
+                f"scaled argument range [{lo}, {hi}] overflows a double: wave speed "
+                f"c = {self.speed!r} with x_max = {self.x_max!r}, t_max = {self.t_max!r}"
+            )
         for profile in (self.f, self.g):
             evaluate(profile, np.array([lo, 0.0, hi]))  # reject unevaluable profiles early
 
@@ -232,7 +238,8 @@ class ClosedFormSolution:
             return evaluate(prob.f, lo)
         hi = xp + c_a * tp
         f_part = 0.5 * (evaluate(prob.f, hi) + evaluate(prob.f, lo))
-        return f_part + self._velocity_integral(lo, hi) / (2.0 * c_a)
+        ends = self._antiderivative(np.concatenate([hi, lo]))
+        return f_part + (ends[: hi.size] - ends[hi.size:]) / (2.0 * c_a)
 
     def evaluate(self, x: float, t: float) -> float:
         return float(self.evaluate_many(np.array([x]), np.array([t]))[0])
@@ -246,37 +253,31 @@ class ClosedFormSolution:
     def _antiderivative_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Knots spanning the scaled argument range and G, the integral of g
         from the first knot to each knot."""
-        knots = np.linspace(*self.problem.scaled_argument_range(), _TABLE_CELLS + 1)
+        lo, hi = self.problem.scaled_argument_range()
+        knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
         tol = self.cfg.adaptive_tol
-        cells = _simpson_batch(
-            self._g_fn, knots[:-1], knots[1:], 0.5 * tol.abs_tol / _TABLE_CELLS, tol.rel_tol
-        )
+        try:
+            cells = _simpson_batch(
+                self._g_fn, knots[:-1], knots[1:], 0.5 * tol.abs_tol / _TABLE_CELLS, tol.rel_tol
+            )
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"velocity profile g = {to_text(self.problem.g)} on [{lo:.6g}, {hi:.6g}]: {exc}"
+            ) from exc
         return knots, np.concatenate([[0.0], np.cumsum(cells)])
 
-    def _velocity_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Integrals of g over [lo, hi] (lo <= hi elementwise) from the
-        antiderivative table; see the module docstring."""
+    def _antiderivative(self, y: np.ndarray) -> np.ndarray:
+        """Signed integral of g from the first knot to each y: the table up to
+        the last knot <= y (clipped to the table) plus a signed tail from that
+        knot to y; see the module docstring."""
         knots, table = self._antiderivative_table
         tol = self.cfg.adaptive_tol
-        k_a = np.searchsorted(knots, lo, side="left")
-        k_b = np.searchsorted(knots, hi, side="right") - 1
-        direct = k_a > k_b
-        out = np.empty(lo.shape)
-        out[direct] = _simpson_batch(
-            self._g_fn, lo[direct], hi[direct], tol.abs_tol, tol.rel_tol
+        k = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, _TABLE_CELLS)
+        start = knots[k]
+        tail = _simpson_batch(
+            self._g_fn, np.minimum(start, y), np.maximum(start, y), 0.25 * tol.abs_tol, tol.rel_tol
         )
-        via = ~direct
-        k_a, k_b = k_a[via], k_b[via]
-        tails = _simpson_batch(
-            self._g_fn,
-            np.concatenate([lo[via], knots[k_b]]),
-            np.concatenate([knots[k_a], hi[via]]),
-            0.25 * tol.abs_tol,
-            tol.rel_tol,
-        )
-        n = k_a.size
-        out[via] = tails[:n] + (table[k_b] - table[k_a]) + tails[n:]
-        return out
+        return table[k] + np.where(y < start, -tail, tail)
 
     # the two profile components: u = forward(hi) + backward(lo)
     def forward_profile(self, y: float) -> float:
@@ -292,18 +293,13 @@ class ClosedFormSolution:
         return half_f - half_int
 
     def _profile_halves(self, y: float) -> tuple[float, float]:
-        """Half the displacement profile at y, and half the scaled
-        antiderivative of the velocity profile from 0 to y (the signed table
-        integral)."""
+        """Half the displacement profile at y, and half the scaled integral of
+        the velocity profile from 0 to y."""
         if self.kind != "dalembert":
             raise DomainError("profile components exist only for the dalembert kind")
         prob = self.problem
-        lo, hi = sorted((0.0, float(y)))
-        integral = self._velocity_integral(np.array([lo]), np.array([hi]))[0]
-        if y < 0.0:
-            integral = -integral
-        half_int = integral / (2.0 * prob.wave_scale)
-        return 0.5 * evaluate(prob.f, y), half_int
+        ends = self._antiderivative(np.array([y, 0.0]))
+        return 0.5 * evaluate(prob.f, y), (ends[0] - ends[1]) / (2.0 * prob.wave_scale)
 
 
 def solve_first_order(problem: WaveProblem) -> ClosedFormSolution:

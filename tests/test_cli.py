@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,31 @@ class TestProblemFile:
         rc = main(["solve", str(path), "--out", str(tmp_path / "o.csv")])
         assert rc == EXIT_INPUT
         assert "overflows a double" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_unsigned_exponent_explained(self, tmp_path, capsys):
+        # YAML reads 1.0e300 as a string; it stays rejected, with the reason
+        path = write_problem(tmp_path / "p.yaml", c="1.0e300")
+        message = r"key 'c' must be a number, got '1\.0e300'; YAML reads an exponent without"
+        with pytest.raises(ProblemFileError, match=message):
+            load_problem_file(path)
+        assert main(["solve", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT
+        assert "write 1.0e+300" in capsys.readouterr().err
+        accepted = write_problem(path, c="1.0e+300", f='"0"', g='"0"')
+        assert load_problem_file(accepted).problem.speed == 1e300
+
+    def test_overflowing_argument_range_rejected(self, tmp_path, capsys):
+        # c^a T' overflows a double: the speed and horizon are named, no
+        # RuntimeWarning escapes and the profiles are never blamed
+        path = write_problem(tmp_path / "p.yaml", alpha=1.0, c="1.0e+300", t_max="1.0e+300")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_INPUT
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "overflows a double: wave speed c = 1e+300" in err
+        assert "t_max = 1e+300" in err and "sub-expression" not in err
         assert not (tmp_path / "o.csv").exists()
 
     def test_quadrature_overrides(self, tmp_path):
@@ -268,6 +294,15 @@ class TestSolveCommand:
         rc = main(["solve", str(path), "--out", str(tmp_path / "o.csv")])
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_pole_in_velocity_profile_exits_3(self, tmp_path, capsys):
+        # the velocity table cannot integrate across the pole at x = 1
+        path = write_problem(tmp_path / "p.yaml", g='"1/(x-1)"')
+        rc = main(["solve", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: velocity profile g = (1.0 / (x - 1.0)) on [" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_t_major_ordering(self, tmp_path):
         path = write_problem(tmp_path / "p.yaml")

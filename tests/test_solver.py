@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from fracwave.core import DomainError, FractionalOrder, Tolerance, gamma
-from fracwave.expr import EvaluationError, parse
+from fracwave.expr import EvaluationError, evaluate, parse
 from fracwave import solver
 from fracwave.fracops import QuadratureConfig, QuadratureError, _difference_step
 from fracwave.solver import (
@@ -21,6 +22,11 @@ from fracwave.solver import (
     solve_dalembert,
     solve_first_order,
 )
+
+
+# profiles from the expression grammar, each evaluable on every argument range
+GRAMMAR_PROFILES = ["x^2", "sin(x)", "0", "-x", "3*x + 1", "exp(-(x - 1)^2)",
+                    "cos(2*x) - x/3", "x^3 / (1 + x^2)"]
 
 
 def problem(alpha, c=1.0, f="x^2", g="sin(x)", x_max=6.0, t_max=2.0):
@@ -204,13 +210,19 @@ class TestSolveDalembert:
             rhs = f_only.evaluate_many(xs, ts) + g_only.evaluate_many(xs, ts)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
-    def test_initial_displacement_exact(self):
-        prob = problem(0.45)
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(0.05, 1.0), st.sampled_from(GRAMMAR_PROFILES),
+           st.sampled_from(GRAMMAR_PROFILES))
+    @example(0.45, "x^2", "sin(x)")
+    def test_initial_displacement_exact(self, alpha, f, g):
+        # at t = 0 both ends of the velocity integral are X', so its
+        # difference is exactly 0 and u(x, 0) is f(X') bit for bit
+        prob = problem(alpha, f=f, g=g)
         sol = solve_dalembert(prob)
         xs = np.linspace(0.0, prob.x_max, 41)
         xp, _ = prob.scaled_coords(xs, np.zeros_like(xs))
         got = sol.evaluate_many(xs, np.zeros_like(xs))
-        assert np.abs(got - xp**2).max() == 0.0
+        assert np.array_equal(got, evaluate(prob.f, xp))
 
     def test_travelling_wave_invariance_for_zero_velocity(self):
         # with g = 0, u depends on (x, t) only through the pair X' +- c^a T'
@@ -243,10 +255,12 @@ class TestSolveDalembert:
         u_reassembled = sol.forward_profile(hi2) + sol.backward_profile(lo3)
         assert u_reassembled == pytest.approx(sol.evaluate(x1, t1), abs=1e-11)
 
-    def test_profile_split_reassembles_solution(self):
-        prob = problem(0.7, c=1.3)
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(0.05, 1.0), st.floats(0.0, 6.0), st.floats(0.0, 2.0))
+    @example(0.7, 2.7, 1.1)
+    def test_profile_split_reassembles_solution(self, alpha, x, t):
+        prob = problem(alpha, c=1.3)
         sol = solve_dalembert(prob)
-        x, t = 2.7, 1.1
         xp, tp = prob.scaled_coords(x, t)
         hi = xp + prob.wave_scale * tp
         lo = xp - prob.wave_scale * tp
@@ -310,14 +324,22 @@ class TestEvaluateGrid:
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
         return sol.evaluate_many(xx.ravel(), tt.ravel()).reshape(tt.shape)
 
-    # each grid is larger than its chunk, so several chunks are evaluated
-    @pytest.mark.parametrize("chunk, nx, nt", [(1, 9, 5), (7, 9, 5), (4096, 65, 65)])
-    def test_dalembert_field_independent_of_chunk(self, monkeypatch, chunk, nx, nt):
-        sol = solve_dalembert(problem(0.8))
+    SOL = solve_dalembert(problem(0.8))
+
+    # the examples are each larger than their chunk, so several chunks are
+    # evaluated; drawn chunks may also exceed the grid
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 5000), st.integers(2, 33), st.integers(2, 9))
+    @example(1, 9, 5)
+    @example(7, 9, 5)
+    @example(4096, 65, 65)
+    def test_dalembert_field_independent_of_chunk(self, chunk, nx, nt):
+        sol = self.SOL
         xs = np.linspace(0.0, 6.0, nx)
         ts = np.linspace(0.0, 2.0, nt)
-        monkeypatch.setattr(solver, "_CHUNK", chunk)
-        got = evaluate_grid(sol, xs, ts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_CHUNK", chunk)
+            got = evaluate_grid(sol, xs, ts)
         assert got.shape == (nt, nx)
         assert got.tobytes() == self.one_batch(sol, xs, ts).tobytes()
 
@@ -392,7 +414,8 @@ class TestAntiderivativeTable:
             assert knots_inside == 1
         elif kind == "many_cells":
             assert knots_inside >= 2
-        got = self.SOL._velocity_integral(np.array([lo]), np.array([hi]))[0]
+        antiderivative = self.SOL._antiderivative
+        got = (antiderivative(np.array([hi])) - antiderivative(np.array([lo])))[0]
         reference = _simpson_batch(
             self.SOL._g_fn, np.array([lo]), np.array([hi]), 1e-3 * self.ABS_TOL, 0.0
         )[0]
@@ -404,7 +427,7 @@ class TestAntiderivativeTable:
         xs = rng.uniform(0.0, prob.x_max, 200)
         ts = rng.uniform(0.0, prob.t_max, 200)
         ts[:20] = 0.0  # zero-width intervals
-        ts[20:40] = rng.uniform(0.0, 1e-6, 20)  # mostly knot-free, integrated directly
+        ts[20:40] = rng.uniform(0.0, 1e-6, 20)  # mostly knot-free: both tails from one knot
         batch = solve_dalembert(prob).evaluate_many(xs, ts)
         for i in range(xs.size):
             # a fresh solution builds its own table: the bits must not depend on it
@@ -421,8 +444,11 @@ class TestAntiderivativeTable:
     def test_pole_in_velocity_profile_fails_at_first_evaluation(self):
         # g = 1/(x - 1) has a pole inside the scaled argument range
         prob = problem(0.8, g="1/(x - 1)", x_max=2 * math.pi, t_max=2 * math.pi)
-        # the table covers the whole range, so even a zero-width interval fails
-        with pytest.raises(QuadratureError):
+        # the table covers the whole range, so even a zero-width interval
+        # fails, and the error names the profile and the range
+        lo, hi = prob.scaled_argument_range()
+        named = re.escape(f"g = (1.0 / (x - 1.0)) on [{lo:.6g}, {hi:.6g}]: adaptive quadrature")
+        with pytest.raises(QuadratureError, match=named):
             solve_dalembert(prob).evaluate(5.0, 0.0)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=named):
             evaluate_field(solve_dalembert(prob), 17, 17)
