@@ -326,14 +326,7 @@ class TestEvaluateGrid:
 
     SOL = solve_dalembert(problem(0.8))
 
-    # the examples are each larger than their chunk, so several chunks are
-    # evaluated; drawn chunks may also exceed the grid
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(1, 5000), st.integers(2, 33), st.integers(2, 9))
-    @example(1, 9, 5)
-    @example(7, 9, 5)
-    @example(4096, 65, 65)
-    def test_dalembert_field_independent_of_chunk(self, chunk, nx, nt):
+    def check_chunk(self, chunk, nx, nt):
         sol = self.SOL
         xs = np.linspace(0.0, 6.0, nx)
         ts = np.linspace(0.0, 2.0, nt)
@@ -342,6 +335,17 @@ class TestEvaluateGrid:
             got = evaluate_grid(sol, xs, ts)
         assert got.shape == (nt, nx)
         assert got.tobytes() == self.one_batch(sol, xs, ts).tobytes()
+
+    # each grid is larger than its chunk, so several chunks are evaluated
+    @pytest.mark.parametrize("chunk, nx, nt", [(1, 9, 5), (7, 9, 5), (4096, 65, 65)])
+    def test_dalembert_field_independent_of_chunk(self, chunk, nx, nt):
+        self.check_chunk(chunk, nx, nt)
+
+    # drawn chunks may also exceed the grid
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 5000), st.integers(2, 33), st.integers(2, 9))
+    def test_dalembert_field_independent_of_drawn_chunk(self, chunk, nx, nt):
+        self.check_chunk(chunk, nx, nt)
 
     @pytest.mark.parametrize("chunk, nx", [(1, 3), (7, 5), (4096, 33)])
     def test_tight_tolerance_probe_grid_independent_of_chunk(self, monkeypatch, chunk, nx):
