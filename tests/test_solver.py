@@ -315,6 +315,61 @@ class TestEvaluateField:
             evaluate_field(solve_dalembert(problem(0.5)), 1, 5)
 
 
+def rate_profile(name, k):
+    """g = name(k x) as text, with an exact antiderivative."""
+    antiderivative = {
+        "sin": lambda y: -np.cos(k * y) / k,
+        "cos": lambda y: np.sin(k * y) / k,
+        "exp": lambda y: np.exp(k * y) / k,
+    }[name]
+    return f"{name}({k!r}*x)", antiderivative
+
+
+def polynomial_profile(coeffs):
+    """g = sum of coeffs[i] x^i as text, with an exact antiderivative."""
+    text = " + ".join(f"{c!r}*x^{i}" for i, c in enumerate(coeffs))
+    return text, lambda y: sum(c * y ** (i + 1) / (i + 1) for i, c in enumerate(coeffs))
+
+
+RATES = st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
+ORACLE_PROFILES = st.one_of(
+    st.tuples(st.sampled_from(["sin", "cos"]), RATES).map(lambda p: rate_profile(*p)),
+    # exp(k x) stays below e^5 on the widest argument range, [-6, 10]
+    st.tuples(st.just("exp"), RATES.map(lambda k: k / 8)).map(lambda p: rate_profile(*p)),
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3).map(polynomial_profile),
+)
+
+
+class TestToleranceOracle:
+    """At every order the closed form is the classical d'Alembert solution in
+    (X', T') at speed c^a, so a g with a known antiderivative gives the exact
+    u, and the stated quadrature tolerance can be checked against it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(0.05, 1.0), st.floats(0.3, 3.0), st.floats(-13.0, -5.0), ORACLE_PROFILES)
+    # |A| reaches about 130; the error is 1.06 abs_tol / (2 c^a), over the
+    # bare budget, and within it once the rounding term is added
+    @example(0.9, 2.6, math.log10(1.5e-13), polynomial_profile((0.0, -3.773, 1.0)))
+    def test_field_within_stated_tolerance(self, alpha, c, log_tol, profile):
+        text, antiderivative = profile
+        abs_tol = 10.0 ** log_tol
+        prob = problem(alpha, c=c, f="0", g=text, x_max=4.0, t_max=2.0)
+        sol = solve_dalembert(prob, QuadratureConfig(1024, Tolerance(abs_tol, 0.0)))
+        field = evaluate_field(sol, 9, 9)
+        tt, xx = np.meshgrid(field.t, field.x, indexing="ij")
+        xp, tp = prob.scaled_coords(xx, tt)
+        c_a = prob.wave_scale
+        exact = (antiderivative(xp + c_a * tp) - antiderivative(xp - c_a * tp)) / (2.0 * c_a)
+        # The quadrature meets abs_tol on each A(hi) - A(lo).  The table's
+        # prefix sums add rounding: recursive summation of n terms is off by
+        # at most (n - 1) (eps / 2) sum|terms| (Higham 2002, Accuracy and
+        # Stability of Numerical Algorithms, ch. 4), and each value reads the
+        # table twice, so 1024 cells add at most 1024 eps sum|cells|.
+        _, table = sol._antiderivative_table
+        rounding = solver._TABLE_CELLS * np.finfo(float).eps * np.abs(np.diff(table)).sum()
+        assert np.abs(field.values - exact).max() <= (abs_tol + rounding) / (2.0 * c_a)
+
+
 class TestEvaluateGrid:
     """The shared dense loop returns the bits of one big evaluate_many batch,
     whatever the chunk size."""

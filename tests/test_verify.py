@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ import pytest
 from fracwave.core import DomainError, FractionalOrder, gamma
 from fracwave.expr import parse
 from fracwave import solver, verify
-from fracwave.fracops import Samples1D, jumarie_derivative_grid
-from fracwave.solver import WaveProblem, solve_dalembert, solve_first_order
+from fracwave.cli import load_problem_file
+from fracwave.fracops import Samples1D, grid_operator_matrix, jumarie_derivative_grid
+from fracwave.solver import WaveProblem, evaluate_grid, solve_dalembert, solve_first_order
 from fracwave.verify import (
     CallableSolution,
+    LevelResidual,
     candidate_product_forms,
     check_initial_conditions,
     compare_candidate_forms,
@@ -19,6 +23,7 @@ from fracwave.verify import (
 )
 
 TWO_PI = 2.0 * math.pi
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def example_problem(alpha, example=1, c=1.0, x_max=TWO_PI, t_max=TWO_PI):
@@ -124,6 +129,124 @@ class TestPdeResidual:
         prob = example_problem(0.7)
         with pytest.raises(DomainError):
             pde_residual(prob, solve_dalembert(prob), 16, 16)
+
+
+def grid_residual(problem, u):
+    """One level of the residual study from its own evaluated grid
+    u[j, i] = u(x_i, t_j), with the level's cell counts read from the grid's
+    shape: the body of pde_residual's level loop before the levels shared
+    one evaluation."""
+    nct, ncx = u.shape[0] - 1, u.shape[1] - 1
+    alpha = problem.alpha
+    mt = grid_operator_matrix(nct, problem.t_max / nct, alpha)
+    mx = grid_operator_matrix(ncx, problem.x_max / ncx, alpha)
+    d2t = mt @ (mt @ u)
+    d2x = (u @ mx.T) @ mx.T
+    resid = d2t - problem.speed ** (2.0 * alpha) * d2x
+    inner = resid[2:, 2:]
+    i0x, i1x = int(0.2 * ncx), int(0.8 * ncx) + 1
+    i0t, i1t = int(0.2 * nct), int(0.8 * nct) + 1
+    core = resid[i0t:i1t, i0x:i1x]
+    return LevelResidual(
+        ncx, nct,
+        float(np.abs(inner).max()),
+        float(np.sqrt(np.mean(inner ** 2))),
+        float(np.abs(core).max()),
+    )
+
+
+def per_level_residuals(problem, sol, nx, nt, levels):
+    """Each level evaluates its own grid and builds an operator per axis."""
+    return tuple(
+        grid_residual(
+            problem,
+            evaluate_grid(
+                sol,
+                np.linspace(0.0, problem.x_max, nx * 2 ** level + 1),
+                np.linspace(0.0, problem.t_max, nt * 2 ** level + 1),
+            ),
+        )
+        for level in range(levels)
+    )
+
+
+def shipped_case(name):
+    pf = load_problem_file(PROBLEMS / f"{name}.yaml")
+    return pf.problem, solve_dalembert(pf.problem, pf.cfg)
+
+
+def non_square_case():
+    # nx != nt and x_max != t_max, so the two axes need different operators
+    prob = dataclasses.replace(load_problem_file(PROBLEMS / "example1.yaml").problem, x_max=5.0)
+    return prob, solve_dalembert(prob)
+
+
+def sin_product_case():
+    prob = load_problem_file(PROBLEMS / "example2.yaml").problem
+    return prob, candidate_product_forms(prob)["sin_product"]
+
+
+NESTING_CASES = [
+    pytest.param(lambda: shipped_case(name), 32, 32, levels, id=f"{name}-levels{levels}")
+    for name in ("example1", "example2", "classical")
+    for levels in (1, 3)
+] + [
+    pytest.param(non_square_case, 33, 40, 3, id="non_square-levels3"),
+    pytest.param(sin_product_case, 32, 32, 3, id="sin_product-levels3"),
+]
+
+
+class TestResidualNesting:
+    """The levels of pde_residual are strided views of one evaluated grid;
+    they must equal what each level computes from a grid of its own."""
+
+    @pytest.mark.parametrize("make, nx, nt, levels", NESTING_CASES)
+    def test_levels_equal_per_level_evaluation(self, make, nx, nt, levels):
+        prob, sol = make()
+        report = pde_residual(prob, sol, nx, nt, levels=levels)
+        assert report.levels == per_level_residuals(prob, sol, nx, nt, levels)
+
+    @pytest.mark.parametrize("make, nx, nt, ops", [
+        pytest.param(lambda: shipped_case("example1"), 32, 32, 3, id="square"),
+        pytest.param(non_square_case, 33, 40, 6, id="non_square"),
+    ])
+    def test_one_evaluation_and_shared_operators(self, monkeypatch, make, nx, nt, ops):
+        prob, sol = make()
+        grids, built = [], []
+
+        def spy_grid(sol, xs, ts):
+            grids.append((xs.size, ts.size))
+            return evaluate_grid(sol, xs, ts)
+
+        def spy_operator(n, dx, order):
+            built.append(n)
+            return grid_operator_matrix(n, dx, order)
+
+        monkeypatch.setattr(verify, "evaluate_grid", spy_grid)
+        monkeypatch.setattr(verify, "grid_operator_matrix", spy_operator)
+        report = pde_residual(prob, sol, nx, nt, levels=3)
+        assert grids == [(4 * nx + 1, 4 * nt + 1)]
+        assert len(built) == ops
+        assert report.to_dict()["collar_cells"] == verify.COLLAR_CELLS == 2
+
+    def test_view_one_level_off_fails_the_reference(self):
+        # reading level l as u[::s, ::s] with s = 2^(levels - l), one level
+        # too coarse, gives residuals the reference does not accept
+        prob, sol = shipped_case("example1")
+        levels, nx, nt = 3, 32, 32
+        top = 2 ** (levels - 1)
+        finest = evaluate_grid(
+            sol,
+            np.linspace(0.0, prob.x_max, nx * top + 1),
+            np.linspace(0.0, prob.t_max, nt * top + 1),
+        )
+        step = lambda level: 2 ** (levels - level)
+        off = tuple(
+            grid_residual(prob, np.ascontiguousarray(finest[:: step(lv), :: step(lv)]))
+            for lv in range(levels)
+        )
+        reference = per_level_residuals(prob, sol, nx, nt, levels)
+        assert all(got != want for got, want in zip(off, reference))
 
 
 class TestRouteEquivalence:
