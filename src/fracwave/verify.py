@@ -169,15 +169,15 @@ def pde_residual(problem: WaveProblem, sol, nx: int, nt: int, levels: int = 3) -
     """Residual of the 2*alpha-order wave equation on refining grids.
 
     nx and nt count cells of the coarsest level; each level doubles both.  The
-    solution is evaluated once, on the finest grid, and each coarser level is
-    a strided view of it (bit for bit the grid it would have evaluated).  The
-    residual applies the gridded operator twice along every t-line and
-    x-line.  Norms skip COLLAR_CELLS cells at the x = 0 and t = 0 edges but
-    keep x = x_max and t = t_max, where np.gradient's one-sided end stencil,
-    applied twice, leaves an O(1) error.  On the shipped d'Alembert problems
-    linf sits on that last row or column at every level, so linf and monotone
-    measure this artifact shrinking (the exact classical solution reads about
-    1.0 there, and 0 to rounding without the last two rows and columns).
+    solution is evaluated once, on the finest grid; each coarser level is a
+    strided view of it, bit for bit the grid it would evaluate.  The residual
+    applies the gridded operator twice along every t-line and x-line.  Norms
+    skip COLLAR_CELLS cells at x = 0 and t = 0 but keep x = x_max and
+    t = t_max, where np.gradient's one-sided end stencil, applied twice,
+    leaves an O(1) error.  On the shipped d'Alembert problems linf sits there
+    at every level, so linf and monotone measure that artifact shrinking (the
+    exact classical solution reads 0 to rounding without the last two rows
+    and columns).
     """
     if nx < MIN_RESIDUAL_CELLS or nt < MIN_RESIDUAL_CELLS:
         raise DomainError(f"residual grids need at least {MIN_RESIDUAL_CELLS} cells per axis")
@@ -186,11 +186,8 @@ def pde_residual(problem: WaveProblem, sol, nx: int, nt: int, levels: int = 3) -
     alpha = problem.alpha
     c2a = problem.speed ** (2.0 * alpha)
     top = 2 ** (levels - 1)
-    finest = evaluate_grid(
-        sol,
-        np.linspace(0.0, problem.x_max, nx * top + 1),
-        np.linspace(0.0, problem.t_max, nt * top + 1),
-    )
+    finest = evaluate_grid(sol, np.linspace(0.0, problem.x_max, nx * top + 1),
+                           np.linspace(0.0, problem.t_max, nt * top + 1))
     out: list[LevelResidual] = []
     for level in range(levels):
         ncx, nct, step = nx * 2 ** level, nt * 2 ** level, top >> level
@@ -201,7 +198,9 @@ def pde_residual(problem: WaveProblem, sol, nx: int, nt: int, levels: int = 3) -
         mx = mt if (ncx, dx) == (nct, dt) else grid_operator_matrix(ncx, dx, alpha)
         resid = mt @ (mt @ u) - c2a * ((u @ mx.T) @ mx.T)
         inner = resid[COLLAR_CELLS:, COLLAR_CELLS:]
-        core = resid[int(0.2 * nct):int(0.8 * nct) + 1, int(0.2 * ncx):int(0.8 * ncx) + 1]
+        i0x, i1x = int(0.2 * ncx), int(0.8 * ncx) + 1
+        i0t, i1t = int(0.2 * nct), int(0.8 * nct) + 1
+        core = resid[i0t:i1t, i0x:i1x]
         out.append(
             LevelResidual(
                 ncx, nct,
@@ -211,10 +210,18 @@ def pde_residual(problem: WaveProblem, sol, nx: int, nt: int, levels: int = 3) -
             )
         )
     linfs = [lv.linf for lv in out]
-    pairs = list(zip(linfs, linfs[1:]))
-    monotone = all(fine <= coarse or fine < RESIDUAL_FLOOR for coarse, fine in pairs)
-    ratios = [math.log2(coarse / fine) for coarse, fine in pairs if coarse > 0 and fine > 0]
-    slope = sum(ratios) / len(ratios) if levels >= 3 and ratios else None
+    monotone = all(
+        linfs[i + 1] <= linfs[i] or linfs[i + 1] < RESIDUAL_FLOOR
+        for i in range(len(linfs) - 1)
+    )
+    slope = None
+    if levels >= 3:
+        ratios = [
+            math.log2(linfs[i] / linfs[i + 1])
+            for i in range(len(linfs) - 1)
+            if linfs[i] > 0 and linfs[i + 1] > 0
+        ]
+        slope = sum(ratios) / len(ratios) if ratios else None
     notes = [COMPOSITION_NOTE]
     if alpha < 1.0:
         notes.append(HEURISTIC_NOTE)

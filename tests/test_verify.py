@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -187,7 +188,7 @@ def sin_product_case():
 
 
 NESTING_CASES = [
-    pytest.param(lambda: shipped_case(name), 32, 32, levels, id=f"{name}-levels{levels}")
+    pytest.param(functools.partial(shipped_case, name), 32, 32, levels, id=f"{name}-levels{levels}")
     for name in ("example1", "example2", "classical")
     for levels in (1, 3)
 ] + [
@@ -207,7 +208,7 @@ class TestResidualNesting:
         assert report.levels == per_level_residuals(prob, sol, nx, nt, levels)
 
     @pytest.mark.parametrize("make, nx, nt, ops", [
-        pytest.param(lambda: shipped_case("example1"), 32, 32, 3, id="square"),
+        pytest.param(functools.partial(shipped_case, "example1"), 32, 32, 3, id="square"),
         pytest.param(non_square_case, 33, 40, 6, id="non_square"),
     ])
     def test_one_evaluation_and_shared_operators(self, monkeypatch, make, nx, nt, ops):
