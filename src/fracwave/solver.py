@@ -256,14 +256,19 @@ class ClosedFormSolution:
         lo, hi = self.problem.scaled_argument_range()
         knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
         tol = self.cfg.adaptive_tol
+        cell_tol = 0.5 * tol.abs_tol / _TABLE_CELLS
         try:
-            cells = _simpson_batch(
-                self._g_fn, knots[:-1], knots[1:], 0.5 * tol.abs_tol / _TABLE_CELLS, tol.rel_tol
-            )
+            cells = _simpson_batch(self._g_fn, knots[:-1], knots[1:], cell_tol, tol.rel_tol)
         except QuadratureError as exc:
-            raise QuadratureError(
-                f"velocity profile g = {to_text(self.problem.g)} on [{lo:.6g}, {hi:.6g}]: {exc}"
-            ) from exc
+            message = f"velocity profile g = {to_text(self.problem.g)} on [{lo:.6g}, {hi:.6g}]: {exc}"
+            # below eps |g| h per cell, a cell's error estimate is rounding noise
+            floor = np.finfo(float).eps * np.abs(self._g_fn(knots)).max() * (knots[1] - knots[0])
+            if cell_tol < floor:
+                message += (
+                    f"; abs_tol = {tol.abs_tol:.3g} allows {cell_tol:.2g} per table cell, "
+                    f"below the rounding floor of doubles ({floor:.2g}), and must be raised"
+                )
+            raise QuadratureError(message) from exc
         return knots, np.concatenate([[0.0], np.cumsum(cells)])
 
     def _antiderivative(self, y: np.ndarray) -> np.ndarray:

@@ -47,11 +47,18 @@ class CallableSolution:
 # --- initial conditions -------------------------------------------------------
 
 
+IC_NX = 33  # points along t = 0 at which both initial conditions are checked
+POSITION_TOL = Tolerance(1e-10, 0.0)
+VELOCITY_TOL = 1e-3
+VELOCITY_CONFIG = QuadratureConfig(512)  # panels of the t = 0 velocity window
+
+
 @dataclass(frozen=True)
 class InitialConditionReport:
     nx: int
     position_max_error: float
-    position_tol: Tolerance
+    position_abs_tol: float
+    position_rel_tol: float
     position_pass: bool
     velocity_max_error: float | None
     velocity_tol: float | None
@@ -62,47 +69,33 @@ class InitialConditionReport:
         return self.position_pass and self.velocity_pass
 
     def to_dict(self) -> dict:
-        return {
-            "nx": self.nx,
-            "position_max_error": self.position_max_error,
-            "position_abs_tol": self.position_tol.abs_tol,
-            "position_rel_tol": self.position_tol.rel_tol,
-            "position_pass": self.position_pass,
-            "velocity_max_error": self.velocity_max_error,
-            "velocity_tol": self.velocity_tol,
-            "velocity_pass": self.velocity_pass,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
-def check_initial_conditions(
-    problem: WaveProblem,
-    sol,
-    nx: int = 33,
-    tol: Tolerance = Tolerance(1e-10, 0.0),
-    velocity_tol: float = 1e-3,
-    n_panels: int = 512,
-) -> InitialConditionReport:
+def check_initial_conditions(problem: WaveProblem, sol) -> InitialConditionReport:
     """Check u(x, 0) = f(X') pointwise and, for second-order solutions, that
     the alpha-order time derivative at t = 0 reproduces g(X').
 
     The velocity is the Jumarie derivative in t at t = 0, one series per x,
-    with the product rule on n_panels panels of a one-sided window.  It
-    carries the accuracy of that rule plus quadrature noise amplified by
-    h^-alpha, hence its looser default tolerance; the failure signals it must
-    detect are order one.
+    with the product rule on the panels of VELOCITY_CONFIG over a one-sided
+    window.  It carries the accuracy of that rule plus quadrature noise
+    amplified by h^-alpha, hence the looser VELOCITY_TOL; the failure signals
+    it must detect are order one.
     """
-    xs = np.linspace(0.0, problem.x_max, nx)
+    xs = np.linspace(0.0, problem.x_max, IC_NX)
     xp, _ = problem.scaled_coords(xs, np.zeros_like(xs))
     f_target = evaluate(problem.f, xp)
     u0 = sol.evaluate_many(xs, np.zeros_like(xs))
     pos_err = np.abs(u0 - f_target)
-    pos_allowed = tol.bound(f_target)
-    position_max = float(pos_err.max())
-    position_pass = bool(np.all(pos_err <= pos_allowed))
+    position = (
+        float(pos_err.max()),
+        POSITION_TOL.abs_tol,
+        POSITION_TOL.rel_tol,
+        bool(np.all(pos_err <= POSITION_TOL.bound(f_target))),
+    )
 
     if isinstance(sol, ClosedFormSolution) and sol.kind == "first_order":
-        return InitialConditionReport(nx, position_max, tol, position_pass, None, None, True)
+        return InitialConditionReport(IC_NX, *position, None, None, True)
 
     g_target = evaluate(problem.g, xp)
     # one row of window samples per x, copied to C order so that the kernel
@@ -111,12 +104,11 @@ def check_initial_conditions(
         lambda ts: evaluate_grid(sol, xs, ts).T.copy(),
         problem.alpha,
         0.0,
-        QuadratureConfig(n_panels),
+        VELOCITY_CONFIG,
     )
     vel_err = float(np.abs(vel - g_target).max())
-    vel_pass = vel_err <= velocity_tol
     return InitialConditionReport(
-        nx, position_max, tol, position_pass, vel_err, velocity_tol, vel_pass
+        IC_NX, *position, vel_err, VELOCITY_TOL, vel_err <= VELOCITY_TOL
     )
 
 
@@ -267,21 +259,21 @@ class StabilityReport:
         return asdict(self)
 
 
+DELTA_SAMPLES = 1024  # points of the argument range at which delta is sampled
+
+
 def stability_check(
-    problem1: WaveProblem,
-    problem2: WaveProblem,
-    nx: int = 65,
-    nt: int = 65,
-    n_delta_samples: int = 1024,
+    problem1: WaveProblem, problem2: WaveProblem, nx: int = 65, nt: int = 65
 ) -> StabilityReport:
     """Continuous dependence on the initial data.
 
-    delta is the sampled sup-norm of the profile perturbations over the full
-    scaled-argument range; the observed gap is compared against the tighter
-    printed bound delta*(1 + T^alpha) and the conservative direct bound
-    delta*(1 + T^alpha / gamma(1+alpha)).  Comparisons allow a relative slack
-    of 1e-9 so that exactly extremal (constant) perturbations, which attain
-    the bound, are not rejected for rounding.
+    delta is the sup-norm of the profile perturbations at DELTA_SAMPLES
+    points of the full scaled-argument range; the observed gap is compared
+    against the tighter printed bound delta*(1 + T^alpha) and the
+    conservative direct bound delta*(1 + T^alpha / gamma(1+alpha)).
+    Comparisons allow a relative slack of 1e-9 so that exactly extremal
+    (constant) perturbations, which attain the bound, are not rejected for
+    rounding.
     """
     p1, p2 = problem1, problem2
     if (
@@ -292,7 +284,7 @@ def stability_check(
     ):
         raise DomainError("stability problems must differ only in their profiles f and g")
     lo, hi = p1.scaled_argument_range()
-    args = np.linspace(lo, hi, n_delta_samples)
+    args = np.linspace(lo, hi, DELTA_SAMPLES)
     df = np.abs(evaluate(p1.f, args) - evaluate(p2.f, args))
     dg = np.abs(evaluate(p1.g, args) - evaluate(p2.g, args))
     delta = float(max(df.max(), dg.max()))
@@ -374,16 +366,17 @@ def candidate_product_forms(problem: WaveProblem) -> dict[str, CallableSolution]
     return {"sin_product": make(np.sin), "cos_product": make(np.cos)}
 
 
-def compare_candidate_forms(
-    problem: WaveProblem, sol: ClosedFormSolution, nx: int = 33, nt: int = 9
-) -> FormComparison | None:
+FORM_GRID = (33, 9)  # (nx, nt) points of the candidate-form comparison
+
+
+def compare_candidate_forms(problem: WaveProblem, sol: ClosedFormSolution) -> FormComparison | None:
     """Evaluate both candidate forms against the initial condition and against
-    the quadrature-truth solution on a coarse grid."""
+    the quadrature-truth solution on the coarse FORM_GRID."""
     forms = candidate_product_forms(problem)
     if forms is None:
         return None
-    xs = np.linspace(0.0, problem.x_max, nx)
-    ts = np.linspace(0.0, problem.t_max, nt)
+    xs = np.linspace(0.0, problem.x_max, FORM_GRID[0])
+    ts = np.linspace(0.0, problem.t_max, FORM_GRID[1])
     xp, _ = problem.scaled_coords(xs, 0.0)
     f_target = evaluate(problem.f, xp)
     u_truth = evaluate_grid(sol, xs, ts)

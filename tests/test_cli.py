@@ -29,10 +29,45 @@ from fracwave.solver import (
     evaluate_field,
     solve_dalembert,
 )
-from fracwave.verify import MIN_RESIDUAL_CELLS
+from fracwave.verify import IC_NX, MIN_RESIDUAL_CELLS, POSITION_TOL, VELOCITY_TOL
 
 TWO_PI = 2.0 * math.pi
 SHIPPED = sorted((Path(__file__).parent.parent / "problems").glob("*.yaml"))
+
+# key paths of a `verify` report; "[]" marks the entries of a list
+REPORT_KEYS = {"schema_version", "problem", "alpha", "equation", "failures", "passed",
+               "initial_conditions", "route_equivalence", "route_equivalence.applicable"}
+IC_KEYS = {
+    f"initial_conditions.{key}"
+    for key in ("nx", "position_max_error", "position_abs_tol", "position_rel_tol",
+                "position_pass", "velocity_max_error", "velocity_tol", "velocity_pass",
+                "passed")
+}
+DALEMBERT_KEYS = {
+    "residual", "residual.alpha", "residual.collar_cells", "residual.levels",
+    "residual.levels[].nx", "residual.levels[].nt", "residual.levels[].linf",
+    "residual.levels[].l2", "residual.levels[].core_linf", "residual.slope",
+    "residual.monotone", "residual.notes", "residual.residual_linf", "residual.residual_l2",
+    "candidate_forms", "candidate_forms.candidates", "candidate_forms.note",
+    "candidate_forms.ic_max_error", "candidate_forms.ic_max_error.sin_product",
+    "candidate_forms.ic_max_error.cos_product", "candidate_forms.gap_vs_quadrature",
+    "candidate_forms.gap_vs_quadrature.sin_product",
+    "candidate_forms.gap_vs_quadrature.cos_product",
+}
+FIRST_ORDER_KEYS = {"route_equivalence.max_deviation", "route_equivalence.tol"}
+
+
+def key_paths(node, prefix=""):
+    """Dotted paths of every key in a JSON document, descending into lists."""
+    if isinstance(node, list):
+        return set().union(*(key_paths(item, prefix + "[]") for item in node))
+    if not isinstance(node, dict):
+        return set()
+    paths = set()
+    for key, value in node.items():
+        path = f"{prefix}.{key}" if prefix else key
+        paths |= {path} | key_paths(value, path)
+    return paths
 
 
 def write_problem(path, **overrides):
@@ -383,6 +418,34 @@ class TestShippedProblemFiles:
         assert main(["verify", str(path), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["passed"] is True
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[p.stem] for p in SHIPPED] + [["example2", "--candidate-form", "sin_product"]],
+        ids=" ".join,
+    )
+    def test_verify_report_keys(self, argv, tmp_path, capsys):
+        # the report's schema only ever gains keys; a removed or renamed key
+        # breaks readers of earlier reports
+        name, *flags = argv
+        out = tmp_path / "report.json"
+        path = SHIPPED[0].parent / f"{name}.yaml"
+        assert main(["verify", str(path), "--out", str(out), *flags]) == EXIT_OK
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        first_order = name == "first_order"
+        expected = REPORT_KEYS | IC_KEYS
+        if first_order:
+            expected |= FIRST_ORDER_KEYS
+        else:
+            expected |= DALEMBERT_KEYS | ({"candidate_form"} if flags else set())
+        assert key_paths(report) == expected
+
+        ic = report["initial_conditions"]
+        assert ic["nx"] == IC_NX
+        assert ic["position_abs_tol"] == POSITION_TOL.abs_tol
+        assert ic["position_rel_tol"] == POSITION_TOL.rel_tol
+        assert ic["velocity_tol"] == (None if first_order else VELOCITY_TOL)
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
     def test_solve_writes_one_row_per_point(self, path, tmp_path):

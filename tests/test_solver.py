@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 
@@ -511,3 +512,25 @@ class TestAntiderivativeTable:
             solve_dalembert(prob).evaluate(5.0, 0.0)
         with pytest.raises(QuadratureError, match=named):
             evaluate_field(solve_dalembert(prob), 17, 17)
+
+    @pytest.mark.parametrize(
+        "g, abs_tol, budget, below_floor",
+        [
+            # 7.3e-17 per cell against a floor of 3.6e-15: never converges,
+            # so a small budget only makes it fail sooner
+            ("x^2 - 3.773*x", 1.5e-13, 64, True),
+            # a reachable tolerance that the budget cuts short
+            ("sin(x)", 1e-10, 0, False),
+        ],
+    )
+    def test_unconverged_table_says_whether_abs_tol_is_below_rounding(
+        self, monkeypatch, g, abs_tol, budget, below_floor
+    ):
+        # only the message depends on the floor, nothing is refused up front:
+        # TestToleranceOracle's pinned example converges far below its floor
+        monkeypatch.setattr(solver, "_simpson_batch", functools.partial(_simpson_batch, budget=budget))
+        prob = problem(0.95, c=3.0, f="0", g=g, x_max=2 * math.pi, t_max=2 * math.pi)
+        sol = solve_dalembert(prob, QuadratureConfig(1024, Tolerance(abs_tol, 0.0)))
+        with pytest.raises(QuadratureError, match=r"velocity profile g = .*: adaptive quadrature") as info:
+            sol.evaluate(1.0, 1.0)
+        assert ("below the rounding floor of doubles" in str(info.value)) == below_floor

@@ -68,6 +68,15 @@ class TestInitialConditions:
         # deviation is (1/c^a)|cos(X')|, about 1 near x = 0
         assert report.position_max_error > 0.5
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_wrong_velocity_fails_velocity_check(self, alpha):
+        prob = example_problem(alpha, example=1, x_max=4.0, t_max=2.0)
+        wrong = dataclasses.replace(prob, g=parse("sin(x) + 0.01"))
+        report = check_initial_conditions(prob, solve_dalembert(wrong))
+        assert report.position_pass
+        # the offset of g, 0.01, is ten times VELOCITY_TOL
+        assert not report.velocity_pass
+
     def test_corrected_closed_form_passes_both_checks(self):
         prob = example_problem(0.8, example=2)
         forms = candidate_product_forms(prob)
