@@ -20,7 +20,7 @@ import yaml
 
 from .core import DomainError, FractionalOrder, Tolerance
 from .expr import EvaluationError, ParseError, parse
-from .fracops import QuadratureConfig, QuadratureError
+from .fracops import QuadratureError
 from .solver import (
     MIN_GRID_POINTS,
     ClosedFormSolution,
@@ -92,7 +92,7 @@ class ProblemFile:
     nx: int
     nt: int
     equation: str  # 'dalembert' or 'first_order'
-    cfg: QuadratureConfig
+    tol: Tolerance
 
 
 # a number in exponent form; YAML reads it as a float only with a '.' in the
@@ -182,21 +182,21 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     if unknown_q:
         raise ProblemFileError(f"unknown quadrature keys: {', '.join(unknown_q)}")
     # the keys left are tolerance components; Tolerance supplies the defaults
-    tol = {key: _require_number(quad, key, positive=False) for key in quad}
+    values = {key: _require_number(quad, key, positive=False) for key in quad}
     try:
-        cfg = QuadratureConfig(adaptive_tol=Tolerance(**tol))
+        tol = Tolerance(**values)
         problem = WaveProblem(
             FractionalOrder(alpha), c, exprs["f"], exprs["g"], x_max, t_max
         )
     except (DomainError, EvaluationError) as exc:
         raise ProblemFileError(str(exc)) from exc
-    return ProblemFile(problem, grids["nx"], grids["nt"], equation, cfg)
+    return ProblemFile(problem, grids["nx"], grids["nt"], equation, tol)
 
 
 def _solve(pf: ProblemFile) -> ClosedFormSolution:
     if pf.equation == "first_order":
         return solve_first_order(pf.problem)
-    return solve_dalembert(pf.problem, pf.cfg)
+    return solve_dalembert(pf.problem, pf.tol)
 
 
 def write_field_csv(field: Field2D, path: str | Path) -> None:
@@ -250,8 +250,7 @@ def cmd_solve(args) -> int:
 def _override_tol(pf: ProblemFile, tol: float | None) -> ProblemFile:
     if tol is None:
         return pf
-    adaptive_tol = replace(pf.cfg.adaptive_tol, abs_tol=tol)
-    return replace(pf, cfg=replace(pf.cfg, adaptive_tol=adaptive_tol))
+    return replace(pf, tol=replace(pf.tol, abs_tol=tol))
 
 
 def cmd_verify(args) -> int:
@@ -363,14 +362,13 @@ def _example_problem(example: int, alpha: float) -> WaveProblem:
 
 def cmd_figures(args) -> int:
     outdir = Path(args.out)
-    tol = args.tol if args.tol is not None else 1e-12
-    cfg = QuadratureConfig(adaptive_tol=Tolerance(tol, 0.0))
+    tol = Tolerance(args.tol if args.tol is not None else 1e-12, 0.0)
     nx, nt = _grid(args, 65, 65)
     outdir.mkdir(parents=True, exist_ok=True)
     for example in (1, 2):
         for alpha in FIGURE_ALPHAS:
             problem = _example_problem(example, alpha)
-            field = evaluate_field(solve_dalembert(problem, cfg), nx, nt)
+            field = evaluate_field(solve_dalembert(problem, tol), nx, nt)
             write_field_csv(field, outdir / f"example{example}_alpha{alpha:g}.csv")
     (outdir / "README.md").write_text(_FIGURES_README)
     return EXIT_OK

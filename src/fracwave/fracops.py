@@ -11,12 +11,12 @@ integrand is piecewise linear on the panel grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .core import DomainError, FractionalOrder, Tolerance, as_order, gamma
+from .core import DomainError, FractionalOrder, as_order, gamma
 from .expr import Expression, evaluate
 
 IntegrandLike = Union[Expression, Callable]
@@ -28,11 +28,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution knobs: panel count for the singular product rule, tolerance
-    budget for the smooth adaptive integrals."""
+    """Resolution of the singular product rule: its panel count."""
 
     n_panels: int = 1024
-    adaptive_tol: Tolerance = field(default_factory=Tolerance)
 
     def __post_init__(self) -> None:
         if self.n_panels < 8:

@@ -16,13 +16,14 @@ on the solution:
   adaptive Simpson, and G[k] is the cumulative sum up to knot k.
 - A(y) = G[k] + tail[knots[k], y], with k the last knot <= y clipped to the
   table; the tail is integrated adaptively and is negative for y below the
-  first knot.  Each value depends on its own y and the fixed table alone, so
+  first knot.  Beyond the table a tail is split into pieces no wider than a
+  cell.  Each value depends on its own y and the fixed table alone, so
   results are bit-identical however points are batched, and at t = 0
   (lo == hi) the velocity term is exactly 0.
 - Tolerance split: each cell gets abs_tol / (2 _TABLE_CELLS), so the table
   contributes at most abs_tol / 2, and each of the two tails gets
-  abs_tol / 4; the difference stays within abs_tol.  rel_tol applies to each
-  piece on its own.
+  abs_tol / 4, shared equally by its pieces; the difference stays within
+  abs_tol.  rel_tol applies to each piece on its own.
 - Consequence: the first dalembert evaluation integrates g over the whole
   scaled argument range, so a velocity profile that cannot be integrated
   anywhere in that range fails on any point, at once.
@@ -32,17 +33,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal as TypingLiteral
 
 import numpy as np
 
-from .core import DomainError, FractionalOrder, as_order
+from .core import DomainError, FractionalOrder, Tolerance, as_order
 from .expr import Expression, evaluate, to_text
-from .fracops import DEFAULT_CONFIG, QuadratureConfig, QuadratureError
+from .fracops import QuadratureError
 from .transform import fractal_scale
 
-SUBDIVISION_BUDGET = 2 ** 20  # per requested integral
+SUBDIVISION_BUDGET = 2 ** 21  # per call
 _CHUNK = 4096  # grid points per evaluation batch; bounds memory, results do not depend on it
 _TABLE_CELLS = 1024  # cells of the velocity antiderivative table
 MIN_GRID_POINTS = 2  # per axis, for evaluate_field
@@ -55,7 +56,7 @@ def _simpson_batch(
     fn,
     lo: np.ndarray,
     hi: np.ndarray,
-    abs_tol: float,
+    abs_tol: float | np.ndarray,
     rel_tol: float,
     budget: int = SUBDIVISION_BUDGET,
 ) -> np.ndarray:
@@ -63,8 +64,11 @@ def _simpson_batch(
 
     The worklist advances level-synchronously; every interval's subdivision
     decisions depend only on its own error estimates, and contributions are
-    accumulated in a fixed order, so results are deterministic and independent
-    of how intervals are batched.  Requires lo <= hi elementwise.
+    accumulated in a fixed order, so values are deterministic and never depend
+    on how intervals are batched.  The budget counts the subdivisions of the
+    whole call, which also bounds the worklist's memory, so whether it trips
+    can depend on the batching.  Requires lo <= hi elementwise; abs_tol is
+    a number or one value per interval.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -74,8 +78,7 @@ def _simpson_batch(
         return out
 
     orig = np.nonzero(live)[0]
-    a = lo[orig].copy()
-    b = hi[orig].copy()
+    a, b = lo[orig], hi[orig]
     mid = 0.5 * (a + b)
     fa = np.asarray(fn(a), dtype=float)
     fm = np.asarray(fn(mid), dtype=float)
@@ -83,8 +86,8 @@ def _simpson_batch(
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     # zero tolerance is allowed: exact-zero panels converge immediately and
     # anything else refines until the width floor or the budget trips
-    tol = np.maximum(abs_tol, rel_tol * np.abs(s))
-    counts = np.zeros(lo.shape, dtype=np.int64)
+    tol = np.maximum(np.broadcast_to(abs_tol, lo.shape)[orig], rel_tol * np.abs(s))
+    subdivisions = 0
 
     while orig.size:
         m = 0.5 * (a + b)
@@ -98,13 +101,10 @@ def _simpson_batch(
         err = s2 - s
         width_floor = (b - a) <= 16.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b) + 1.0)
         done = (np.abs(err) <= 15.0 * tol) | width_floor
-        if np.any(done):
-            np.add.at(out, orig[done], s2[done] + err[done] / 15.0)
+        np.add.at(out, orig[done], s2[done] + err[done] / 15.0)
         keep = ~done
-        if not np.any(keep):
-            break
-        np.add.at(counts, orig[keep], 1)
-        if np.any(counts > budget):
+        subdivisions += np.count_nonzero(keep)
+        if subdivisions > budget:
             raise QuadratureError(
                 f"adaptive quadrature exceeded {budget} subdivisions without converging"
             )
@@ -127,20 +127,14 @@ def g_integral(
     g: Expression,
     lower: float,
     upper: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    tol: Tolerance = Tolerance(),
 ) -> float:
     """Signed definite integral of g, antisymmetric under swapping the limits."""
     sign = 1.0
     if upper < lower:
         lower, upper, sign = upper, lower, -1.0
     fn = lambda xs: evaluate(g, xs)
-    value = _simpson_batch(
-        fn,
-        np.array([lower]),
-        np.array([upper]),
-        cfg.adaptive_tol.abs_tol,
-        cfg.adaptive_tol.rel_tol,
-    )[0]
+    value = _simpson_batch(fn, np.array([lower]), np.array([upper]), tol.abs_tol, tol.rel_tol)[0]
     return sign * float(value)
 
 
@@ -222,7 +216,7 @@ class ClosedFormSolution:
 
     kind: TypingLiteral["first_order", "dalembert"]
     problem: WaveProblem
-    cfg: QuadratureConfig = field(default_factory=lambda: DEFAULT_CONFIG)
+    tol: Tolerance = Tolerance()
 
     def evaluate_many(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Evaluate at paired coordinate arrays (vectorized, one batch)."""
@@ -255,17 +249,16 @@ class ClosedFormSolution:
         from the first knot to each knot."""
         lo, hi = self.problem.scaled_argument_range()
         knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
-        tol = self.cfg.adaptive_tol
-        cell_tol = 0.5 * tol.abs_tol / _TABLE_CELLS
+        cell_tol = 0.5 * self.tol.abs_tol / _TABLE_CELLS
         try:
-            cells = _simpson_batch(self._g_fn, knots[:-1], knots[1:], cell_tol, tol.rel_tol)
+            cells = _simpson_batch(self._g_fn, knots[:-1], knots[1:], cell_tol, self.tol.rel_tol)
         except QuadratureError as exc:
             message = f"velocity profile g = {to_text(self.problem.g)} on [{lo:.6g}, {hi:.6g}]: {exc}"
             # below eps |g| h per cell, a cell's error estimate is rounding noise
             floor = np.finfo(float).eps * np.abs(self._g_fn(knots)).max() * (knots[1] - knots[0])
             if cell_tol < floor:
                 message += (
-                    f"; abs_tol = {tol.abs_tol:.3g} allows {cell_tol:.2g} per table cell, "
+                    f"; abs_tol = {self.tol.abs_tol:.3g} allows {cell_tol:.2g} per table cell, "
                     f"below the rounding floor of doubles ({floor:.2g}), and must be raised"
                 )
             raise QuadratureError(message) from exc
@@ -276,12 +269,25 @@ class ClosedFormSolution:
         the last knot <= y (clipped to the table) plus a signed tail from that
         knot to y; see the module docstring."""
         knots, table = self._antiderivative_table
-        tol = self.cfg.adaptive_tol
         k = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, _TABLE_CELLS)
         start = knots[k]
-        tail = _simpson_batch(
-            self._g_fn, np.minimum(start, y), np.maximum(start, y), 0.25 * tol.abs_tol, tol.rel_tol
-        )
+        lo, hi = np.minimum(start, y), np.maximum(start, y)
+        abs_tol, rel_tol = 0.25 * self.tol.abs_tol, self.tol.rel_tol
+        beyond = (y < knots[0]) | (y > knots[-1])
+        tail = _simpson_batch(self._g_fn, lo, np.where(beyond, lo, hi), abs_tol, rel_tol)
+        # one wide first panel can pass its error test by chance on an
+        # oscillating g, so a tail beyond the table is integrated in n pieces
+        # no wider than a cell, each with 1/n of the tail's tolerance
+        n = np.ceil((hi - lo)[beyond] / (knots[1] - knots[0]))
+        if n.sum() > SUBDIVISION_BUDGET:
+            raise QuadratureError(f"tails beyond the table exceed {SUBDIVISION_BUDGET} pieces")
+        owner, n = np.repeat(np.flatnonzero(beyond), n.astype(int)), np.repeat(n, n.astype(int))
+        j = np.arange(n.size) - np.searchsorted(owner, owner)  # index within its tail
+        a0, width = lo[owner], (hi - lo)[owner]
+        a = a0 + width * (j / n)
+        b = np.where(j == n - 1, hi[owner], a0 + width * ((j + 1) / n))
+        pieces = _simpson_batch(self._g_fn, a, b, abs_tol / n, rel_tol)
+        tail += np.bincount(owner, pieces, minlength=y.size)
         return table[k] + np.where(y < start, -tail, tail)
 
     # the two profile components: u = forward(hi) + backward(lo)
@@ -313,15 +319,13 @@ def solve_first_order(problem: WaveProblem) -> ClosedFormSolution:
     return ClosedFormSolution("first_order", problem)
 
 
-def solve_dalembert(
-    problem: WaveProblem, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> ClosedFormSolution:
+def solve_dalembert(problem: WaveProblem, tol: Tolerance = Tolerance()) -> ClosedFormSolution:
     """Two-wave solution of the 2*alpha-order wave equation.
 
     It satisfies both initial conditions: u(x, 0) = f(X') exactly, and the
     alpha-order time derivative at t = 0 equals g(X').
     """
-    return ClosedFormSolution("dalembert", problem, cfg)
+    return ClosedFormSolution("dalembert", problem, tol)
 
 
 # --- dense evaluation ---------------------------------------------------------

@@ -5,7 +5,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fracwave.cli import main as cli_main
 from fracwave.core import FractionalOrder, gamma

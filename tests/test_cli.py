@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -19,9 +20,8 @@ from fracwave.cli import (
     main,
     write_field_csv,
 )
-from fracwave.core import FractionalOrder
+from fracwave.core import FractionalOrder, Tolerance
 from fracwave.expr import parse
-from fracwave.fracops import QuadratureConfig
 from fracwave.solver import (
     MIN_GRID_POINTS,
     Field2D,
@@ -178,13 +178,14 @@ class TestProblemFile:
         assert "t_max = 1e+300" in err and "sub-expression" not in err
         assert not (tmp_path / "o.csv").exists()
 
-    def test_quadrature_overrides(self, tmp_path):
+    @pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
+    def test_quadrature_overrides(self, tmp_path, key):
         path = tmp_path / "p.yaml"
         write_problem(path)
         with path.open("a") as fh:
-            fh.write("quadrature:\n  abs_tol: 1.0e-8\n")
+            fh.write(f"quadrature:\n  {key}: 1.0e-8\n")
         pf = load_problem_file(path)
-        assert pf.cfg.adaptive_tol.abs_tol == 1e-8
+        assert pf.tol == dataclasses.replace(Tolerance(), **{key: 1e-8})
 
     @pytest.mark.parametrize("value", [".nan", ".inf", "abc", "true"])
     @pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
@@ -284,15 +285,27 @@ class TestSolveCommand:
         assert rc == EXIT_INPUT
         assert "position" in capsys.readouterr().err
 
-    def test_output_matches_library_bit_for_bit(self, tmp_path):
-        path = write_problem(tmp_path / "p.yaml")  # alpha = 0.8 example shape
+    @pytest.mark.parametrize(
+        "quadrature, flags, tol",
+        [
+            pytest.param(None, [], Tolerance(), id="default"),
+            # --tol replaces abs_tol and keeps the file's rel_tol; the field
+            # differs from the one at Tolerance(), (1e-12, 0) or (1e-10, 1e-13)
+            pytest.param(
+                "{rel_tol: 1.0e-13}", ["--tol", "1e-12"], Tolerance(1e-12, 1e-13), id="tol_flag"
+            ),
+        ],
+    )
+    def test_output_matches_library_bit_for_bit(self, tmp_path, quadrature, flags, tol):
+        # alpha = 0.8 example shape
+        path = write_problem(tmp_path / "p.yaml", quadrature=quadrature)
         out = tmp_path / "cli.csv"
-        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["solve", str(path), "--out", str(out), *flags]) == EXIT_OK
         problem = WaveProblem(
             FractionalOrder(0.8), 1.0, parse("x^2"), parse("sin(x)"), TWO_PI, TWO_PI
         )
         golden = tmp_path / "lib.csv"
-        field = evaluate_field(solve_dalembert(problem, QuadratureConfig(1024)), 17, 17)
+        field = evaluate_field(solve_dalembert(problem, tol), 17, 17)
         write_field_csv(field, golden)
         assert out.read_bytes() == golden.read_bytes()
 

@@ -12,7 +12,7 @@ from scipy import integrate
 from fracwave.core import DomainError, FractionalOrder, Tolerance, gamma
 from fracwave.expr import EvaluationError, evaluate, parse
 from fracwave import solver
-from fracwave.fracops import QuadratureConfig, QuadratureError, _difference_step
+from fracwave.fracops import QuadratureError, _difference_step
 from fracwave.solver import (
     WaveProblem,
     _simpson_batch,
@@ -44,10 +44,10 @@ class TestGIntegral:
     def test_trig_identity_against_quadpack(self):
         # int sin over [A-B, A+B] = 2 sin A sin B
         A, B = 1.1, 0.6
-        got = g_integral(parse("sin(x)"), A - B, A + B)
-        assert got == pytest.approx(2.0 * math.sin(A) * math.sin(B), abs=1e-10)
+        got = g_integral(parse("sin(x)"), A - B, A + B, Tolerance(1e-13, 0.0))
+        assert got == pytest.approx(2.0 * math.sin(A) * math.sin(B), abs=1e-13)
         oracle, _ = integrate.quad(math.sin, A - B, A + B, epsabs=1e-13)
-        assert got == pytest.approx(oracle, abs=1e-10)
+        assert got == pytest.approx(oracle, abs=1e-13)
 
     @given(
         st.floats(-5.0, 5.0, allow_nan=False),
@@ -62,6 +62,15 @@ class TestGIntegral:
         fn = lambda xs: np.sin(xs)
         with pytest.raises(QuadratureError):
             _simpson_batch(fn, np.array([0.0]), np.array([20.0]), 1e-10, 0.0, budget=2)
+
+    def test_budget_counts_the_whole_call(self):
+        # one such interval needs exactly 989 subdivisions, so two exceed 989
+        lo, hi = np.zeros(2), np.full(2, 20.0)
+        with pytest.raises(QuadratureError):
+            _simpson_batch(np.sin, lo[:1], hi[:1], 1e-10, 0.0, budget=988)
+        assert _simpson_batch(np.sin, lo[:1], hi[:1], 1e-10, 0.0, budget=989).size == 1
+        with pytest.raises(QuadratureError, match="exceeded 989 subdivisions"):
+            _simpson_batch(np.sin, lo, hi, 1e-10, 0.0, budget=989)
 
 
 class TestWaveProblem:
@@ -355,7 +364,7 @@ class TestToleranceOracle:
         text, antiderivative = profile
         abs_tol = 10.0 ** log_tol
         prob = problem(alpha, c=c, f="0", g=text, x_max=4.0, t_max=2.0)
-        sol = solve_dalembert(prob, QuadratureConfig(1024, Tolerance(abs_tol, 0.0)))
+        sol = solve_dalembert(prob, Tolerance(abs_tol, 0.0))
         field = evaluate_field(sol, 9, 9)
         tt, xx = np.meshgrid(field.t, field.x, indexing="ij")
         xp, tp = prob.scaled_coords(xx, tt)
@@ -422,7 +431,7 @@ class TestAntiderivativeTable:
     ABS_TOL = 1e-6  # loose, so the tolerance split is actually exercised
     SOL = solve_dalembert(
         problem(0.8, g="exp(x / 4) * sin(3 * x)"),
-        QuadratureConfig(1024, Tolerance(ABS_TOL, 0.0)),
+        Tolerance(ABS_TOL, 0.0),
     )
     KNOTS = np.linspace(*SOL.problem.scaled_argument_range(), solver._TABLE_CELLS + 1)
     WIDTH = KNOTS[1] - KNOTS[0]
@@ -465,6 +474,9 @@ class TestAntiderivativeTable:
         st.integers(2, solver._TABLE_CELLS),
     )
     @example(kind="many_cells", k=1022, u=0.0, v=0.0, n=2)
+    # a tail about 8 wide below the table: as one Simpson panel it passed its
+    # error test at 1.60 against an exact -0.142
+    @example(kind="below", k=0, u=0.9478699056851201, v=0.0, n=2)
     def test_agrees_with_direct_integral(self, kind, k, u, v, n):
         lo, hi = self.interval(kind, k, u, v, n)
         knots_inside = np.count_nonzero((self.KNOTS >= lo) & (self.KNOTS <= hi))
@@ -480,6 +492,11 @@ class TestAntiderivativeTable:
             self.SOL._g_fn, np.array([lo]), np.array([hi]), 1e-3 * self.ABS_TOL, 0.0
         )[0]
         assert abs(got - reference) <= self.ABS_TOL
+
+    def test_far_tail_exceeding_budget_raises(self):
+        # cell-wide pieces out to 1e9 would number about 1.2e11
+        with pytest.raises(QuadratureError, match="tails beyond the table exceed"):
+            self.SOL._antiderivative(np.array([0.0, 1e9]))
 
     def test_point_alone_matches_batch_bitwise(self):
         prob = problem(0.8)
@@ -530,7 +547,7 @@ class TestAntiderivativeTable:
         # TestToleranceOracle's pinned example converges far below its floor
         monkeypatch.setattr(solver, "_simpson_batch", functools.partial(_simpson_batch, budget=budget))
         prob = problem(0.95, c=3.0, f="0", g=g, x_max=2 * math.pi, t_max=2 * math.pi)
-        sol = solve_dalembert(prob, QuadratureConfig(1024, Tolerance(abs_tol, 0.0)))
+        sol = solve_dalembert(prob, Tolerance(abs_tol, 0.0))
         with pytest.raises(QuadratureError, match=r"velocity profile g = .*: adaptive quadrature") as info:
             sol.evaluate(1.0, 1.0)
         assert ("below the rounding floor of doubles" in str(info.value)) == below_floor

@@ -13,7 +13,6 @@ from fracwave.cli import load_problem_file
 from fracwave.fracops import Samples1D, grid_operator_matrix, jumarie_derivative_grid
 from fracwave.solver import WaveProblem, evaluate_grid, solve_dalembert, solve_first_order
 from fracwave.verify import (
-    CallableSolution,
     LevelResidual,
     candidate_product_forms,
     check_initial_conditions,
@@ -182,7 +181,7 @@ def per_level_residuals(problem, sol, nx, nt, levels):
 
 def shipped_case(name):
     pf = load_problem_file(PROBLEMS / f"{name}.yaml")
-    return pf.problem, solve_dalembert(pf.problem, pf.cfg)
+    return pf.problem, solve_dalembert(pf.problem, pf.tol)
 
 
 def non_square_case():
