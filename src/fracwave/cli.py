@@ -49,7 +49,7 @@ EXIT_VERIFY = 5
 SCHEMA_VERSION = 1
 _REQUIRED_KEYS = ("schema_version", "alpha", "c", "f", "g", "x_max", "t_max", "nx", "nt")
 _OPTIONAL_KEYS = ("equation", "quadrature")
-_QUAD_KEYS = ("abs_tol", "rel_tol")
+_QUAD_KEYS = ("abs_tol",)
 
 FIGURE_ALPHAS = (0.7, 0.8, 0.9, 1.0)
 
@@ -100,7 +100,7 @@ class ProblemFile:
 _EXPONENT_FORM = re.compile(r"\s*([-+]?)(\d*)\.?(\d*)[eE]([-+]?)(\d+)\s*")
 
 
-def _require_number(raw: dict, key: str, positive: bool = True) -> float:
+def _require_number(raw: dict, key: str) -> float:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         message = f"key '{key}' must be a number, got {value!r}"
@@ -113,9 +113,8 @@ def _require_number(raw: dict, key: str, positive: bool = True) -> float:
             )
         raise ProblemFileError(message)
     value = float(value)
-    if not math.isfinite(value) or (positive and value <= 0.0):
-        kind = "finite positive" if positive else "finite"
-        raise ProblemFileError(f"key '{key}' must be a {kind} number, got {value!r}")
+    if not math.isfinite(value) or value <= 0.0:
+        raise ProblemFileError(f"key '{key}' must be a finite positive number, got {value!r}")
     return value
 
 
@@ -181,10 +180,9 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     unknown_q = sorted(set(quad) - set(_QUAD_KEYS))
     if unknown_q:
         raise ProblemFileError(f"unknown quadrature keys: {', '.join(unknown_q)}")
-    # the keys left are tolerance components; Tolerance supplies the defaults
-    values = {key: _require_number(quad, key, positive=False) for key in quad}
+    # the key left is abs_tol; Tolerance supplies the default
+    tol = Tolerance(**{key: _require_number(quad, key) for key in quad})
     try:
-        tol = Tolerance(**values)
         problem = WaveProblem(
             FractionalOrder(alpha), c, exprs["f"], exprs["g"], x_max, t_max
         )
@@ -250,7 +248,7 @@ def cmd_solve(args) -> int:
 def _override_tol(pf: ProblemFile, tol: float | None) -> ProblemFile:
     if tol is None:
         return pf
-    return replace(pf, tol=replace(pf.tol, abs_tol=tol))
+    return replace(pf, tol=Tolerance(tol))
 
 
 def cmd_verify(args) -> int:
@@ -362,7 +360,7 @@ def _example_problem(example: int, alpha: float) -> WaveProblem:
 
 def cmd_figures(args) -> int:
     outdir = Path(args.out)
-    tol = Tolerance(args.tol if args.tol is not None else 1e-12, 0.0)
+    tol = Tolerance(args.tol if args.tol is not None else 1e-12)
     nx, nt = _grid(args, 65, 65)
     outdir.mkdir(parents=True, exist_ok=True)
     for example in (1, 2):

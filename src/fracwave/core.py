@@ -1,5 +1,5 @@
 """Shared numeric primitives: the gamma function, validated fractional orders,
-and tolerance pairs used across the package."""
+and the tolerance of the velocity integral."""
 
 from __future__ import annotations
 
@@ -54,24 +54,13 @@ def as_order(order: FractionalOrder | float) -> FractionalOrder:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair: finite, non-negative, at least one
-    component positive."""
+    """Absolute tolerance of the velocity integral: finite and > 0."""
 
     abs_tol: float = 1e-10
-    rel_tol: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
-            raise DomainError("tolerances must be finite")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise DomainError("tolerances must be non-negative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise DomainError("abs_tol and rel_tol cannot both be zero")
-
-    def bound(self, scale):
-        """Allowed deviation for a quantity of the given magnitude;
-        elementwise on arrays."""
-        return self.abs_tol + self.rel_tol * abs(scale)
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise DomainError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
 
 
 def euler_power_coefficient(beta: float, order: FractionalOrder | float) -> float:

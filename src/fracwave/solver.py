@@ -23,7 +23,7 @@ on the solution:
 - Tolerance split: each cell gets abs_tol / (2 _TABLE_CELLS), so the table
   contributes at most abs_tol / 2, and each of the two tails gets
   abs_tol / 4, shared equally by its pieces; the difference stays within
-  abs_tol.  rel_tol applies to each piece on its own.
+  abs_tol.
 - Consequence: the first dalembert evaluation integrates g over the whole
   scaled argument range, so a velocity profile that cannot be integrated
   anywhere in that range fails on any point, at once.
@@ -39,7 +39,7 @@ from typing import Literal as TypingLiteral
 import numpy as np
 
 from .core import DomainError, FractionalOrder, Tolerance, as_order
-from .expr import Expression, evaluate, to_text
+from .expr import EvaluationError, Expression, evaluate, to_text
 from .fracops import QuadratureError
 from .transform import fractal_scale
 
@@ -57,7 +57,6 @@ def _simpson_batch(
     lo: np.ndarray,
     hi: np.ndarray,
     abs_tol: float | np.ndarray,
-    rel_tol: float,
     budget: int = SUBDIVISION_BUDGET,
 ) -> np.ndarray:
     """Adaptive Simpson integrals of fn over many [lo, hi] intervals at once.
@@ -84,9 +83,7 @@ def _simpson_batch(
     fm = np.asarray(fn(mid), dtype=float)
     fb = np.asarray(fn(b), dtype=float)
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # zero tolerance is allowed: exact-zero panels converge immediately and
-    # anything else refines until the width floor or the budget trips
-    tol = np.maximum(np.broadcast_to(abs_tol, lo.shape)[orig], rel_tol * np.abs(s))
+    tol = np.broadcast_to(abs_tol, lo.shape)[orig]
     subdivisions = 0
 
     while orig.size:
@@ -129,13 +126,18 @@ def g_integral(
     upper: float,
     tol: Tolerance = Tolerance(),
 ) -> float:
-    """Signed definite integral of g, antisymmetric under swapping the limits."""
+    """Signed definite integral of g, antisymmetric under swapping the limits.
+
+    Like the antiderivative table, it sums _TABLE_CELLS equal cells, each
+    within abs_tol / _TABLE_CELLS: one wide panel can pass its error test by
+    chance on an oscillating g."""
     sign = 1.0
     if upper < lower:
         lower, upper, sign = upper, lower, -1.0
+    knots = np.linspace(lower, upper, _TABLE_CELLS + 1)
     fn = lambda xs: evaluate(g, xs)
-    value = _simpson_batch(fn, np.array([lower]), np.array([upper]), tol.abs_tol, tol.rel_tol)[0]
-    return sign * float(value)
+    cells = _simpson_batch(fn, knots[:-1], knots[1:], tol.abs_tol / _TABLE_CELLS)
+    return sign * float(cells.sum())
 
 
 # --- problem statement and solutions -----------------------------------------
@@ -251,17 +253,22 @@ class ClosedFormSolution:
         knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
         cell_tol = 0.5 * self.tol.abs_tol / _TABLE_CELLS
         try:
-            cells = _simpson_batch(self._g_fn, knots[:-1], knots[1:], cell_tol, self.tol.rel_tol)
-        except QuadratureError as exc:
-            message = f"velocity profile g = {to_text(self.problem.g)} on [{lo:.6g}, {hi:.6g}]: {exc}"
-            # below eps |g| h per cell, a cell's error estimate is rounding noise
-            floor = np.finfo(float).eps * np.abs(self._g_fn(knots)).max() * (knots[1] - knots[0])
-            if cell_tol < floor:
-                message += (
-                    f"; abs_tol = {self.tol.abs_tol:.3g} allows {cell_tol:.2g} per table cell, "
-                    f"below the rounding floor of doubles ({floor:.2g}), and must be raised"
-                )
-            raise QuadratureError(message) from exc
+            cells = _simpson_batch(self._g_fn, knots[:-1], knots[1:], cell_tol)
+        except (QuadratureError, EvaluationError) as exc:
+            note = ""
+            if isinstance(exc, QuadratureError):  # after an EvaluationError a knot may be a pole
+                # below eps |g| h per cell, a cell's error estimate is rounding noise
+                h = knots[1] - knots[0]
+                floor = np.finfo(float).eps * np.abs(self._g_fn(knots)).max() * h
+                if cell_tol < floor:
+                    note = (
+                        f"; abs_tol = {self.tol.abs_tol:.3g} allows {cell_tol:.2g} per table cell, "
+                        f"below the rounding floor of doubles ({floor:.2g}), and must be raised"
+                    )
+            # name g and its range; the exception keeps its type and attributes
+            where = f"velocity profile g = {to_text(self.problem.g)} on [{lo:.6g}, {hi:.6g}]"
+            exc.args = (f"{where}: {exc}{note}",)
+            raise
         return knots, np.concatenate([[0.0], np.cumsum(cells)])
 
     def _antiderivative(self, y: np.ndarray) -> np.ndarray:
@@ -272,9 +279,9 @@ class ClosedFormSolution:
         k = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, _TABLE_CELLS)
         start = knots[k]
         lo, hi = np.minimum(start, y), np.maximum(start, y)
-        abs_tol, rel_tol = 0.25 * self.tol.abs_tol, self.tol.rel_tol
+        abs_tol = 0.25 * self.tol.abs_tol
         beyond = (y < knots[0]) | (y > knots[-1])
-        tail = _simpson_batch(self._g_fn, lo, np.where(beyond, lo, hi), abs_tol, rel_tol)
+        tail = _simpson_batch(self._g_fn, lo, np.where(beyond, lo, hi), abs_tol)
         # one wide first panel can pass its error test by chance on an
         # oscillating g, so a tail beyond the table is integrated in n pieces
         # no wider than a cell, each with 1/n of the tail's tolerance
@@ -286,7 +293,7 @@ class ClosedFormSolution:
         a0, width = lo[owner], (hi - lo)[owner]
         a = a0 + width * (j / n)
         b = np.where(j == n - 1, hi[owner], a0 + width * ((j + 1) / n))
-        pieces = _simpson_batch(self._g_fn, a, b, abs_tol / n, rel_tol)
+        pieces = _simpson_batch(self._g_fn, a, b, abs_tol / n)
         tail += np.bincount(owner, pieces, minlength=y.size)
         return table[k] + np.where(y < start, -tail, tail)
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, Tolerance
+from .core import DomainError
 from .expr import Func, Literal, Pow, Var, evaluate
 from .fracops import QuadratureConfig, grid_operator_matrix, jumarie_derivative
 from .solver import (
@@ -40,15 +40,12 @@ class CallableSolution:
     def evaluate_many(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float), np.asarray(t, dtype=float)), dtype=float)
 
-    def evaluate(self, x: float, t: float) -> float:
-        return float(self.evaluate_many(np.array([x]), np.array([t]))[0])
-
 
 # --- initial conditions -------------------------------------------------------
 
 
 IC_NX = 33  # points along t = 0 at which both initial conditions are checked
-POSITION_TOL = Tolerance(1e-10, 0.0)
+POSITION_TOL = 1e-10
 VELOCITY_TOL = 1e-3
 VELOCITY_CONFIG = QuadratureConfig(512)  # panels of the t = 0 velocity window
 
@@ -89,9 +86,9 @@ def check_initial_conditions(problem: WaveProblem, sol) -> InitialConditionRepor
     pos_err = np.abs(u0 - f_target)
     position = (
         float(pos_err.max()),
-        POSITION_TOL.abs_tol,
-        POSITION_TOL.rel_tol,
-        bool(np.all(pos_err <= POSITION_TOL.bound(f_target))),
+        POSITION_TOL,
+        0.0,  # position_rel_tol: the bound is absolute
+        bool(np.all(pos_err <= POSITION_TOL)),
     )
 
     if isinstance(sol, ClosedFormSolution) and sol.kind == "first_order":

@@ -64,24 +64,18 @@ class TestFractionalOrder:
 
 
 class TestTolerance:
-    def test_rejects_double_zero(self):
+    def test_rejects_zero(self):
         with pytest.raises(DomainError):
-            Tolerance(0.0, 0.0)
+            Tolerance(0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            Tolerance(-1e-3, 0.0)
+            Tolerance(-1e-3)
 
-    @pytest.mark.parametrize("abs_tol, rel_tol", [
-        (math.nan, 0.0), (math.inf, 0.0), (1e-8, math.nan), (1e-8, math.inf),
-    ])
-    def test_rejects_non_finite(self, abs_tol, rel_tol):
+    @pytest.mark.parametrize("abs_tol", [math.nan, math.inf])
+    def test_rejects_non_finite(self, abs_tol):
         with pytest.raises(DomainError, match="finite"):
-            Tolerance(abs_tol, rel_tol)
-
-    def test_bound_combines_components(self):
-        tol = Tolerance(1e-8, 1e-6)
-        assert tol.bound(100.0) == pytest.approx(1e-8 + 1e-4)
+            Tolerance(abs_tol)
 
 
 class TestEulerPowerCoefficient:
