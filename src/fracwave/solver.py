@@ -8,22 +8,20 @@ definite integral of the velocity profile g over [lo, hi] =
 [X' - c^alpha T', X' + c^alpha T'].
 
 Every velocity integral of a solution is a difference A(hi) - A(lo) of one
-signed antiderivative A of g, read from a table built on first use and cached
-on the solution:
+antiderivative A of g, read from a table built on first use and cached on
+the solution.  A is defined on the table's range, the scaled argument range
+that [0, x_max] x [0, t_max] reaches; outside it A raises DomainError:
 
 - Knots: _TABLE_CELLS + 1 evenly spaced points spanning
   WaveProblem.scaled_argument_range().  Each cell is integrated once by
   adaptive Simpson, and G[k] is the cumulative sum up to knot k.
-- A(y) = G[k] + tail[knots[k], y], with k the last knot <= y clipped to the
-  table; the tail is integrated adaptively and is negative for y below the
-  first knot.  Beyond the table a tail is split into pieces no wider than a
-  cell.  Each value depends on its own y and the fixed table alone, so
-  results are bit-identical however points are batched, and at t = 0
-  (lo == hi) the velocity term is exactly 0.
+- A(y) = G[k] + tail[knots[k], y], with k the last knot <= y; the tail is
+  integrated adaptively.  Each value depends on its own y and the fixed
+  table alone, so results are bit-identical however points are batched, and
+  at t = 0 (lo == hi) the velocity term is exactly 0.
 - Tolerance split: each cell gets abs_tol / (2 _TABLE_CELLS), so the table
   contributes at most abs_tol / 2, and each of the two tails gets
-  abs_tol / 4, shared equally by its pieces; the difference stays within
-  abs_tol.
+  abs_tol / 4; the difference stays within abs_tol.
 - Consequence: the first dalembert evaluation integrates g over the whole
   scaled argument range, so a velocity profile that cannot be integrated
   anywhere in that range fails on any point, at once.
@@ -56,7 +54,7 @@ def _simpson_batch(
     fn,
     lo: np.ndarray,
     hi: np.ndarray,
-    abs_tol: float | np.ndarray,
+    abs_tol: float,
     budget: int = SUBDIVISION_BUDGET,
 ) -> np.ndarray:
     """Adaptive Simpson integrals of fn over many [lo, hi] intervals at once.
@@ -66,8 +64,7 @@ def _simpson_batch(
     accumulated in a fixed order, so values are deterministic and never depend
     on how intervals are batched.  The budget counts the subdivisions of the
     whole call, which also bounds the worklist's memory, so whether it trips
-    can depend on the batching.  Requires lo <= hi elementwise; abs_tol is
-    a number or one value per interval.
+    can depend on the batching.  Requires lo <= hi elementwise.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -83,7 +80,7 @@ def _simpson_batch(
     fm = np.asarray(fn(mid), dtype=float)
     fb = np.asarray(fn(b), dtype=float)
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = np.broadcast_to(abs_tol, lo.shape)[orig]
+    tol = np.full(orig.size, abs_tol)
     subdivisions = 0
 
     while orig.size:
@@ -214,6 +211,9 @@ class ClosedFormSolution:
     kind 'first_order' is the single travelling wave u = f(X' - c^alpha T');
     kind 'dalembert' is the two-wave split plus velocity integral.  Evaluation
     is pure and deterministic: the same (x, t) always produces the same bits.
+    A dalembert solution is defined on [0, x_max] x [0, t_max]: its velocity
+    table spans the scaled argument range that domain reaches, and any
+    evaluation that needs g beyond that range raises DomainError.
     """
 
     kind: TypingLiteral["first_order", "dalembert"]
@@ -272,30 +272,20 @@ class ClosedFormSolution:
         return knots, np.concatenate([[0.0], np.cumsum(cells)])
 
     def _antiderivative(self, y: np.ndarray) -> np.ndarray:
-        """Signed integral of g from the first knot to each y: the table up to
-        the last knot <= y (clipped to the table) plus a signed tail from that
-        knot to y; see the module docstring."""
+        """Integral of g from the first knot to each y: the table up to the
+        last knot <= y plus a tail from that knot to y; see the module
+        docstring.  Raises DomainError unless every y lies in the table's
+        range, the scaled argument range."""
         knots, table = self._antiderivative_table
-        k = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, _TABLE_CELLS)
-        start = knots[k]
-        lo, hi = np.minimum(start, y), np.maximum(start, y)
-        abs_tol = 0.25 * self.tol.abs_tol
-        beyond = (y < knots[0]) | (y > knots[-1])
-        tail = _simpson_batch(self._g_fn, lo, np.where(beyond, lo, hi), abs_tol)
-        # one wide first panel can pass its error test by chance on an
-        # oscillating g, so a tail beyond the table is integrated in n pieces
-        # no wider than a cell, each with 1/n of the tail's tolerance
-        n = np.ceil((hi - lo)[beyond] / (knots[1] - knots[0]))
-        if n.sum() > SUBDIVISION_BUDGET:
-            raise QuadratureError(f"tails beyond the table exceed {SUBDIVISION_BUDGET} pieces")
-        owner, n = np.repeat(np.flatnonzero(beyond), n.astype(int)), np.repeat(n, n.astype(int))
-        j = np.arange(n.size) - np.searchsorted(owner, owner)  # index within its tail
-        a0, width = lo[owner], (hi - lo)[owner]
-        a = a0 + width * (j / n)
-        b = np.where(j == n - 1, hi[owner], a0 + width * ((j + 1) / n))
-        pieces = _simpson_batch(self._g_fn, a, b, abs_tol / n)
-        tail += np.bincount(owner, pieces, minlength=y.size)
-        return table[k] + np.where(y < start, -tail, tail)
+        if not np.all((y >= knots[0]) & (y <= knots[-1])):  # NaN fails too
+            prob = self.problem
+            raise DomainError(
+                f"velocity integral needs g outside the scaled argument range "
+                f"[{knots[0]:.6g}, {knots[-1]:.6g}]; a solution is defined on "
+                f"[0, x_max] x [0, t_max] = [0, {prob.x_max:.6g}] x [0, {prob.t_max:.6g}]"
+            )
+        k = np.searchsorted(knots, y, side="right") - 1
+        return table[k] + _simpson_batch(self._g_fn, knots[k], y, 0.25 * self.tol.abs_tol)
 
     # the two profile components: u = forward(hi) + backward(lo)
     def forward_profile(self, y: float) -> float:

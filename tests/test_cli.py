@@ -417,6 +417,15 @@ class TestVerifyCommand:
         assert report["initial_conditions"]["position_max_error"] > 0.5
         capsys.readouterr()
 
+    def test_t_max_below_velocity_probe_window_exits_3(self, tmp_path, capsys):
+        # the t = 0 velocity probe reads u up to t = 1e-8, past this t_max, so
+        # it would need g beyond the velocity table's scaled argument range
+        path = write_problem(tmp_path / "p.yaml", alpha=0.9, t_max="1.0e-9")
+        out = tmp_path / "report.json"
+        assert main(["verify", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+        assert "outside the scaled argument range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_candidate_form_requires_example_shape(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.yaml", g='"cos(x)"')
         rc = main(

@@ -437,7 +437,8 @@ class TestEvaluateGrid:
 
 class TestAntiderivativeTable:
     """Velocity integrals come from one cached antiderivative table plus two
-    adaptive tails per interval."""
+    adaptive tails per interval.  The table's range, the scaled argument
+    range, is the antiderivative's domain: beyond it DomainError."""
 
     ABS_TOL = 1e-6  # loose, so the tolerance split is actually exercised
     SOL = solve_dalembert(
@@ -446,7 +447,6 @@ class TestAntiderivativeTable:
     )
     KNOTS = np.linspace(*SOL.problem.scaled_argument_range(), solver._TABLE_CELLS + 1)
     WIDTH = KNOTS[1] - KNOTS[0]
-    SPAN = KNOTS[-1] - KNOTS[0]
 
     @classmethod
     def interval(cls, kind, k, u, v, n):
@@ -466,10 +466,6 @@ class TestAntiderivativeTable:
             # k + 2 <= cells - 1 keeps at least two knots inside
             k = min(k, cells - 3)
             lo, hi = inside(k, u), inside(min(k + n, cells - 1), v)
-        elif kind == "below":
-            lo, hi = knots[0] - cls.SPAN * (0.05 + u), inside(k, v)
-        else:  # "above"
-            lo, hi = inside(k, u), knots[-1] + cls.SPAN * (0.05 + v)
         return lo, hi
 
     def test_knots_span_scaled_argument_range(self):
@@ -478,16 +474,13 @@ class TestAntiderivativeTable:
         assert table[0] == 0.0 and table.shape == knots.shape
 
     @given(
-        st.sampled_from(["zero", "one_cell", "one_knot", "many_cells", "below", "above"]),
+        st.sampled_from(["zero", "one_cell", "one_knot", "many_cells"]),
         st.integers(0, solver._TABLE_CELLS - 1),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
         st.integers(2, solver._TABLE_CELLS),
     )
     @example(kind="many_cells", k=1022, u=0.0, v=0.0, n=2)
-    # a tail about 8 wide below the table: as one Simpson panel it passed its
-    # error test at 1.60 against an exact -0.142
-    @example(kind="below", k=0, u=0.9478699056851201, v=0.0, n=2)
     def test_agrees_with_direct_integral(self, kind, k, u, v, n):
         lo, hi = self.interval(kind, k, u, v, n)
         knots_inside = np.count_nonzero((self.KNOTS >= lo) & (self.KNOTS <= hi))
@@ -504,10 +497,44 @@ class TestAntiderivativeTable:
         )[0]
         assert abs(got - reference) <= self.ABS_TOL
 
-    def test_far_tail_exceeding_budget_raises(self):
-        # cell-wide pieces out to 1e9 would number about 1.2e11
-        with pytest.raises(QuadratureError, match="tails beyond the table exceed"):
-            self.SOL._antiderivative(np.array([0.0, 1e9]))
+    def test_argument_range_ends_are_accepted(self):
+        lo, hi = self.SOL.problem.scaled_argument_range()
+        assert math.isfinite(self.SOL.forward_profile(hi))
+        assert math.isfinite(self.SOL.backward_profile(lo))
+
+    @pytest.mark.parametrize(
+        "y",
+        [np.nextafter(KNOTS[0], -np.inf), np.nextafter(KNOTS[-1], np.inf), math.nan],
+        ids=["below", "above", "nan"],
+    )
+    def test_argument_beyond_the_table_raises(self, y):
+        with pytest.raises(DomainError, match="outside the scaled argument range"):
+            self.SOL._antiderivative(np.array([0.0, y]))
+
+    def test_point_beyond_the_domain_raises(self):
+        prob = self.SOL.problem
+        with pytest.raises(DomainError) as info:
+            self.SOL.evaluate_many(np.array([2 * prob.x_max]), np.array([prob.t_max]))
+        # plain numbers, not reprs such as np.float64(...)
+        lo, hi = prob.scaled_argument_range()
+        message = str(info.value)
+        assert f"scaled argument range [{lo:.6g}, {hi:.6g}]" in message
+        assert "[0, x_max] x [0, t_max] = [0, 6] x [0, 2]" in message
+        assert "np." not in message
+
+    @settings(deadline=None)
+    @given(
+        st.floats(0.05, 1.0),
+        st.floats(0.1, 10.0),
+        st.floats(0.01, 30.0),
+        st.floats(0.01, 30.0),
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=8),
+    )
+    def test_whole_domain_is_accepted(self, alpha, c, x_max, t_max, fractions):
+        # a corner whose argument rounded past the table's end would raise
+        sol = solve_dalembert(problem(alpha, c=c, f="x", g="x", x_max=x_max, t_max=t_max))
+        u, v = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), *fractions]).T
+        assert np.all(np.isfinite(sol.evaluate_many(u * x_max, v * t_max)))
 
     def test_point_alone_matches_batch_bitwise(self):
         prob = problem(0.8)
