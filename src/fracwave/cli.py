@@ -346,29 +346,24 @@ def _verify_text_block(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _example_problem(example: int, alpha: float) -> WaveProblem:
-    f_text = "x^2" if example == 1 else "0"
-    return WaveProblem(
-        FractionalOrder(alpha),
-        1.0,
-        parse(f_text),
-        parse("sin(x)"),
-        2.0 * math.pi,
-        2.0 * math.pi,
-    )
+def _write_order_fields(pf: ProblemFile, alphas, outdir: Path, prefix: str) -> None:
+    """Solve pf at each order on its grid; write outdir / f"{prefix}{alpha:g}.csv"."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for alpha in alphas:
+        sub = replace(pf, problem=replace(pf.problem, order=FractionalOrder(alpha)))
+        field = evaluate_field(_solve(sub), pf.nx, pf.nt)
+        write_field_csv(field, outdir / f"{prefix}{alpha:g}.csv")
 
 
 def cmd_figures(args) -> int:
-    outdir = Path(args.out)
     tol = Tolerance(args.tol if args.tol is not None else 1e-12)
     nx, nt = _grid(args, 65, 65)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for example in (1, 2):
-        for alpha in FIGURE_ALPHAS:
-            problem = _example_problem(example, alpha)
-            field = evaluate_field(solve_dalembert(problem, tol), nx, nt)
-            write_field_csv(field, outdir / f"example{example}_alpha{alpha:g}.csv")
-    (outdir / "README.md").write_text(_FIGURES_README)
+    for example, f_text in ((1, "x^2"), (2, "0")):  # the order is set per field
+        problem = WaveProblem(FractionalOrder(FIGURE_ALPHAS[0]), 1.0, parse(f_text),
+                              parse("sin(x)"), 2.0 * math.pi, 2.0 * math.pi)
+        pf = ProblemFile(problem, nx, nt, "dalembert", tol)
+        _write_order_fields(pf, FIGURE_ALPHAS, Path(args.out), f"example{example}_alpha")
+    (Path(args.out) / "README.md").write_text(_FIGURES_README)
     return EXIT_OK
 
 
@@ -384,13 +379,8 @@ def cmd_sweep(args) -> int:
             raise ProblemFileError(f"alpha {alpha} outside (0, 1]")
         alphas.append(alpha)
     nx, nt = _grid(args, pf.nx, pf.nt)
-    pf = _override_tol(pf, args.tol)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for alpha in alphas:
-        sub = replace(pf, problem=replace(pf.problem, order=FractionalOrder(alpha)))
-        field = evaluate_field(_solve(sub), nx, nt)
-        write_field_csv(field, outdir / f"alpha_{alpha:g}.csv")
+    pf = replace(_override_tol(pf, args.tol), nx=nx, nt=nt)
+    _write_order_fields(pf, alphas, Path(args.out), "alpha_")
     return EXIT_OK
 
 

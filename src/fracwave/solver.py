@@ -59,36 +59,31 @@ def _simpson_batch(
 ) -> np.ndarray:
     """Adaptive Simpson integrals of fn over many [lo, hi] intervals at once.
 
-    The worklist advances level-synchronously; every interval's subdivision
-    decisions depend only on its own error estimates, and contributions are
-    accumulated in a fixed order, so values are deterministic and never depend
-    on how intervals are batched.  The budget counts the subdivisions of the
-    whole call, which also bounds the worklist's memory, so whether it trips
-    can depend on the batching.  Requires lo <= hi elementwise.
+    The worklist advances level-synchronously, one fn call per level, and
+    every interval of a level shares one tolerance, abs_tol halved per level.
+    An interval's subdivision decisions depend only on its own error
+    estimates, and contributions are accumulated in a fixed order, so values
+    are deterministic and never depend on how intervals are batched.  The
+    budget counts the subdivisions of the whole call, which also bounds the
+    worklist's memory, so whether it trips can depend on the batching.
+    Requires lo <= hi elementwise.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     out = np.zeros(lo.shape)
-    live = hi > lo
-    if not np.any(live):
+    orig = np.nonzero(hi > lo)[0]
+    if not orig.size:
         return out
 
-    orig = np.nonzero(live)[0]
     a, b = lo[orig], hi[orig]
-    mid = 0.5 * (a + b)
-    fa = np.asarray(fn(a), dtype=float)
-    fm = np.asarray(fn(mid), dtype=float)
-    fb = np.asarray(fn(b), dtype=float)
+    fa, fm, fb = fn(np.concatenate([a, 0.5 * (a + b), b])).reshape(3, -1)
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = np.full(orig.size, abs_tol)
+    tol = abs_tol
     subdivisions = 0
 
     while orig.size:
         m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        fnew = np.asarray(fn(np.concatenate([lm, rm])), dtype=float)
-        flm, frm = fnew[: m.size], fnew[m.size:]
+        flm, frm = fn(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])).reshape(2, -1)
         sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         s2 = sl + sr
@@ -102,19 +97,49 @@ def _simpson_batch(
             raise QuadratureError(
                 f"adaptive quadrature exceeded {budget} subdivisions without converging"
             )
-        orig = np.concatenate([orig[keep], orig[keep]])
-        a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
-        fa, fm, fb, s = (
-            np.concatenate([fa[keep], fm[keep]]),
-            np.concatenate([flm[keep], frm[keep]]),
-            np.concatenate([fm[keep], fb[keep]]),
-            np.concatenate([sl[keep], sr[keep]]),
+        # the kept intervals' left halves, then their right halves
+        orig, a, b, fa, fm, fb, s = (
+            np.concatenate([left[keep], right[keep]])
+            for left, right in (
+                (orig, orig), (a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (sl, sr)
+            )
         )
-        tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
+        tol *= 0.5
 
     if not np.all(np.isfinite(out)):
         raise QuadratureError("adaptive quadrature produced a non-finite result")
     return out
+
+
+def _integrate_cells(
+    g: Expression, lo: float, hi: float, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """The integral of g over each of _TABLE_CELLS equal cells of [lo, hi],
+    each within abs_tol / (2 _TABLE_CELLS), as (knots, cells).
+
+    Equal cells, not one adaptive panel: one wide panel can pass its error
+    test by chance on an oscillating g.  A failure names g and [lo, hi], and
+    when the cells' tolerance lies below the rounding floor of doubles, says
+    so.  The exception keeps its type and attributes."""
+    fn = functools.partial(evaluate, g)  # per call: a wrapper installed on evaluate sees it
+    knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
+    cell_tol = 0.5 * tol.abs_tol / _TABLE_CELLS
+    try:
+        return knots, _simpson_batch(fn, knots[:-1], knots[1:], cell_tol)
+    except (QuadratureError, EvaluationError) as exc:
+        note = ""
+        if isinstance(exc, QuadratureError):  # after an EvaluationError a knot may be a pole
+            # below eps |g| h per cell, a cell's error estimate is rounding noise
+            h = knots[1] - knots[0]
+            floor = np.finfo(float).eps * np.abs(fn(knots)).max() * h
+            if cell_tol < floor:
+                note = (
+                    f"; abs_tol = {tol.abs_tol:.3g} allows {cell_tol:.2g} per table cell, "
+                    f"below the rounding floor of doubles ({floor:.2g}), and must be raised"
+                )
+        where = f"velocity profile g = {to_text(g)} on [{lo:.6g}, {hi:.6g}]"
+        exc.args = (f"{where}: {exc}{note}",)
+        raise
 
 
 def g_integral(
@@ -123,17 +148,13 @@ def g_integral(
     upper: float,
     tol: Tolerance = Tolerance(),
 ) -> float:
-    """Signed definite integral of g, antisymmetric under swapping the limits.
-
-    Like the antiderivative table, it sums _TABLE_CELLS equal cells, each
-    within abs_tol / _TABLE_CELLS: one wide panel can pass its error test by
-    chance on an oscillating g."""
+    """Signed definite integral of g, antisymmetric under swapping the limits:
+    the sum of the antiderivative table's cells over [lower, upper], so within
+    abs_tol / 2."""
     sign = 1.0
     if upper < lower:
         lower, upper, sign = upper, lower, -1.0
-    knots = np.linspace(lower, upper, _TABLE_CELLS + 1)
-    fn = lambda xs: evaluate(g, xs)
-    cells = _simpson_batch(fn, knots[:-1], knots[1:], tol.abs_tol / _TABLE_CELLS)
+    _, cells = _integrate_cells(g, lower, upper, tol)
     return sign * float(cells.sum())
 
 
@@ -232,10 +253,11 @@ class ClosedFormSolution:
         lo = xp - c_a * tp
         if self.kind == "first_order":
             return evaluate(prob.f, lo)
-        hi = xp + c_a * tp
-        f_part = 0.5 * (evaluate(prob.f, hi) + evaluate(prob.f, lo))
-        ends = self._antiderivative(np.concatenate([hi, lo]))
-        return f_part + (ends[: hi.size] - ends[hi.size:]) / (2.0 * c_a)
+        n = lo.size
+        ends = np.concatenate([xp + c_a * tp, lo])  # hi, then lo
+        f = evaluate(prob.f, ends)
+        A = self._antiderivative(ends)
+        return 0.5 * (f[:n] + f[n:]) + (A[:n] - A[n:]) / (2.0 * c_a)
 
     def evaluate(self, x: float, t: float) -> float:
         return float(self.evaluate_many(np.array([x]), np.array([t]))[0])
@@ -249,26 +271,8 @@ class ClosedFormSolution:
     def _antiderivative_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Knots spanning the scaled argument range and G, the integral of g
         from the first knot to each knot."""
-        lo, hi = self.problem.scaled_argument_range()
-        knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
-        cell_tol = 0.5 * self.tol.abs_tol / _TABLE_CELLS
-        try:
-            cells = _simpson_batch(self._g_fn, knots[:-1], knots[1:], cell_tol)
-        except (QuadratureError, EvaluationError) as exc:
-            note = ""
-            if isinstance(exc, QuadratureError):  # after an EvaluationError a knot may be a pole
-                # below eps |g| h per cell, a cell's error estimate is rounding noise
-                h = knots[1] - knots[0]
-                floor = np.finfo(float).eps * np.abs(self._g_fn(knots)).max() * h
-                if cell_tol < floor:
-                    note = (
-                        f"; abs_tol = {self.tol.abs_tol:.3g} allows {cell_tol:.2g} per table cell, "
-                        f"below the rounding floor of doubles ({floor:.2g}), and must be raised"
-                    )
-            # name g and its range; the exception keeps its type and attributes
-            where = f"velocity profile g = {to_text(self.problem.g)} on [{lo:.6g}, {hi:.6g}]"
-            exc.args = (f"{where}: {exc}{note}",)
-            raise
+        prob = self.problem
+        knots, cells = _integrate_cells(prob.g, *prob.scaled_argument_range(), self.tol)
         return knots, np.concatenate([[0.0], np.cumsum(cells)])
 
     def _antiderivative(self, y: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fracwave.core import DomainError, FractionalOrder, Tolerance, gamma
-from fracwave.expr import EvaluationError, evaluate, parse
+from fracwave.expr import EvaluationError, evaluate, parse, to_text
 from fracwave import solver
 from fracwave.fracops import QuadratureError, _difference_step
 from fracwave.solver import (
@@ -68,6 +68,11 @@ class TestGIntegral:
     def test_antisymmetric_under_swap(self, lower, upper):
         g = parse("exp(-(x - 1)^2)")
         assert g_integral(g, upper, lower) == -g_integral(g, lower, upper)
+
+    def test_failure_names_g_and_the_range(self):
+        # knot 512 of [0, 2] is exactly 1, the pole
+        with pytest.raises(EvaluationError, match=r"velocity profile g = .* on \[0, 2\]"):
+            g_integral(parse("1/(x-1)"), 0.0, 2.0)
 
     def test_budget_exhaustion_raises(self):
         fn = lambda xs: np.sin(xs)
@@ -588,4 +593,10 @@ class TestAntiderivativeTable:
         sol = solve_dalembert(prob, Tolerance(abs_tol))
         with pytest.raises(QuadratureError, match=r"velocity profile g = .*: adaptive quadrature") as info:
             sol.evaluate(1.0, 1.0)
+        assert ("below the rounding floor of doubles" in str(info.value)) == below_floor
+        # g_integral sums the same cells and reports the same way; on
+        # [-5, 10] the first case converges within the budget
+        named = re.escape(f"velocity profile g = {to_text(prob.g)} on [-20, 40]: adaptive quadrature")
+        with pytest.raises(QuadratureError, match=named) as info:
+            g_integral(prob.g, -20.0, 40.0, Tolerance(abs_tol))
         assert ("below the rounding floor of doubles" in str(info.value)) == below_floor
