@@ -245,12 +245,11 @@ def grid_operator_matrix(n: int, dx: float, order: FractionalOrder | float) -> n
     alpha = as_order(order).alpha
     if alpha == 1.0:
         return np.gradient(np.eye(n + 1), dx, axis=0)
-    # row i integrates over [0, i*dx]; its weight on node j >= 1 depends only
-    # on the lag i - j, so one n-panel weight vector, reversed, fills the
-    # lower triangle (a Toeplitz matrix)
-    reversed_w = _kernel_node_weights(1.0 - alpha, n * dx, n)[::-1]
-    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
-    w = np.tril(reversed_w[np.abs(lag)])
+    # row i integrates over [0, i*dx]; its weight on node j <= i is the n-panel
+    # weight of node n - i + j, and 0 above: the window starting at n - i of
+    # the weights padded with n zeros (a lower-triangular Toeplitz matrix)
+    padded = np.concatenate([_kernel_node_weights(1.0 - alpha, n * dx, n), np.zeros(n)])
+    w = np.lib.stride_tricks.sliding_window_view(padded, n + 1)[::-1].copy()
     # acting on u rather than u - u[0]: column 0 carries minus the row sum
     w[:, 0] = -w[:, 1:].sum(axis=1)
     return np.gradient(w, dx, axis=0) / gamma(1.0 - alpha)

@@ -356,16 +356,15 @@ class Field2D:
 def evaluate_grid(sol, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """u on the tensor grid of xs and ts, as an (ts.size, xs.size) array whose
     row j holds time ts[j].  sol needs only an evaluate_many(x, t) method.
-    Points are visited t-major in batches of _CHUNK; for the closed forms
-    the result is identical to one big batch."""
-    tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    flat_x = xx.ravel()
-    flat_t = tt.ravel()
-    values = np.empty(flat_x.size)
-    for start in range(0, flat_x.size, _CHUNK):
-        stop = min(start + _CHUNK, flat_x.size)
-        values[start:stop] = sol.evaluate_many(flat_x[start:stop], flat_t[start:stop])
-    return values.reshape(tt.shape)
+    Flat indices k = j * nx + i are visited in batches of _CHUNK, t-major; for
+    the closed forms the result is identical to one big batch."""
+    nx = xs.size
+    values = np.empty((ts.size, nx))
+    flat = values.reshape(-1)  # a view: batches fill values in place
+    for start in range(0, flat.size, _CHUNK):
+        k = np.arange(start, min(start + _CHUNK, flat.size))
+        flat[k] = sol.evaluate_many(xs[k % nx], ts[k // nx])
+    return values
 
 
 def evaluate_field(sol: ClosedFormSolution, nx: int, nt: int) -> Field2D:

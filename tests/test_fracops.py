@@ -293,6 +293,28 @@ class TestGridOperatorMatrix:
         assert np.array_equal(grid_operator_matrix(n, dx, 1.0), reference_grid_operator(n, dx, 1.0))
 
 
+def lag_matrix_grid_operator(n, dx, alpha):
+    """The Toeplitz weights gathered through an int64 lag matrix: the
+    construction the sliding window replaced, kept as a bitwise reference."""
+    reversed_w = _kernel_node_weights(1.0 - alpha, n * dx, n)[::-1]
+    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+    w = np.tril(reversed_w[np.abs(lag)])
+    w[:, 0] = -w[:, 1:].sum(axis=1)
+    return np.gradient(w, dx, axis=0) / gamma(1.0 - alpha)
+
+
+class TestGridOperatorToeplitz:
+    @pytest.mark.parametrize(
+        "n, dx, alpha",
+        [(4, 1.0, 0.5), (5, 0.3, 0.02), (32, 0.19634954084936207, 0.9),
+         (64, 1.0 / 64, 0.7), (257, 2.0 / 257, 0.8), (512, 3.0, 0.999)],
+    )
+    def test_sliding_window_equals_lag_matrix_bitwise(self, n, dx, alpha):
+        got = grid_operator_matrix(n, dx, alpha)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == lag_matrix_grid_operator(n, dx, alpha).tobytes()
+
+
 class TestGridOperator:
     def test_constant_samples_give_zero(self):
         samples = Samples1D(0.0, 1.0 / 64, np.full(65, 3.7))

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,20 @@ class TestEvaluateGrid:
         monkeypatch.setattr(solver, "_CHUNK", chunk)
         got = evaluate_grid(sol, xs, ts)
         assert got.tobytes() == self.one_batch(sol, xs, ts).tobytes()
+
+
+    def test_indexes_its_grid_without_copies(self):
+        # no coordinate grids: beyond the output only one batch's temporaries
+        sol = solve_first_order(problem(0.5, f="sin(x)"))
+        xs = np.linspace(0.0, 6.0, 513)
+        ts = np.linspace(0.0, 2.0, 513)
+        tracemalloc.start()
+        try:
+            got = evaluate_grid(sol, xs, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * got.nbytes
 
 
 class TestAntiderivativeTable:
