@@ -116,16 +116,24 @@ def _singular_integral(fn: Callable, mu: float, upper: float, n: int):
     return _float_if_scalar(out)
 
 
-def _difference_step(x):
+def _difference_step(x, alpha: float = 1.0):
     # step policy for every outer/inner numerical derivative in this module;
-    # elementwise on arrays
-    return np.maximum(1e-5 * np.abs(x), 1e-8)
+    # elementwise on arrays.  At x = 0 the outer derivative of an order
+    # alpha < 1 operator differences something that grows like h^(1-alpha):
+    # its bias is O(h^alpha) and rounding is amplified by h^-alpha, which
+    # balance at h = eps^(1/(2 alpha)), kept a normal double
+    h = np.maximum(1e-5 * np.abs(x), 1e-8)
+    if alpha == 1.0:
+        return h
+    window = max(np.finfo(float).eps ** (0.5 / alpha), np.finfo(float).tiny)
+    return np.where(x == 0.0, window, h)
 
 
-def _fn_derivative_on(fn: Callable, nodes: np.ndarray) -> np.ndarray:
+def _fn_derivative_on(fn: Callable, nodes: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """Pointwise numerical derivative of fn at non-negative nodes, forward
-    differencing where a central stencil would dip below 0."""
-    h = _difference_step(nodes)
+    differencing where a central stencil would dip below 0; alpha is the
+    order of the operator whose outer derivative this is."""
+    h = _difference_step(nodes, alpha)
     forward = nodes - h < 0.0
     left = np.where(forward, nodes, nodes - h)
     right = nodes + h
@@ -165,7 +173,7 @@ def _rl_derivative_fn(fn: Callable, alpha: float, x: float, cfg: QuadratureConfi
         )
     # outer derivative of w, forward where x - h would leave the domain (this
     # defines values at the left terminal as limits from the right)
-    return _float_if_scalar(_fn_derivative_on(w, np.array([x]))[..., 0])
+    return _float_if_scalar(_fn_derivative_on(w, np.array([x]), alpha)[..., 0])
 
 
 def rl_derivative(

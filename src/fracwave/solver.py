@@ -55,7 +55,6 @@ def _simpson_batch(
     lo: np.ndarray,
     hi: np.ndarray,
     abs_tol: float,
-    budget: int = SUBDIVISION_BUDGET,
 ) -> np.ndarray:
     """Adaptive Simpson integrals of fn over many [lo, hi] intervals at once.
 
@@ -63,9 +62,10 @@ def _simpson_batch(
     every interval of a level shares one tolerance, abs_tol halved per level.
     An interval's subdivision decisions depend only on its own error
     estimates, and contributions are accumulated in a fixed order, so values
-    are deterministic and never depend on how intervals are batched.  The
-    budget counts the subdivisions of the whole call, which also bounds the
-    worklist's memory, so whether it trips can depend on the batching.
+    are deterministic and never depend on how intervals are batched.
+    SUBDIVISION_BUDGET, read at each call, counts the subdivisions of the
+    whole call, which also bounds the worklist's memory, so whether it trips
+    can depend on the batching.
     Requires lo <= hi elementwise.
     """
     lo = np.asarray(lo, dtype=float)
@@ -93,9 +93,9 @@ def _simpson_batch(
         np.add.at(out, orig[done], s2[done] + err[done] / 15.0)
         keep = ~done
         subdivisions += np.count_nonzero(keep)
-        if subdivisions > budget:
+        if subdivisions > SUBDIVISION_BUDGET:
             raise QuadratureError(
-                f"adaptive quadrature exceeded {budget} subdivisions without converging"
+                f"adaptive quadrature exceeded {SUBDIVISION_BUDGET} subdivisions without converging"
             )
         # the kept intervals' left halves, then their right halves
         orig, a, b, fa, fm, fb, s = (
@@ -264,9 +264,6 @@ class ClosedFormSolution:
 
     __call__ = evaluate
 
-    def _g_fn(self, xs: np.ndarray) -> np.ndarray:
-        return evaluate(self.problem.g, xs)
-
     @functools.cached_property
     def _antiderivative_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Knots spanning the scaled argument range and G, the integral of g
@@ -289,7 +286,8 @@ class ClosedFormSolution:
                 f"[0, x_max] x [0, t_max] = [0, {prob.x_max:.6g}] x [0, {prob.t_max:.6g}]"
             )
         k = np.searchsorted(knots, y, side="right") - 1
-        return table[k] + _simpson_batch(self._g_fn, knots[k], y, 0.25 * self.tol.abs_tol)
+        g = functools.partial(evaluate, self.problem.g)  # per call, as in _integrate_cells
+        return table[k] + _simpson_batch(g, knots[k], y, 0.25 * self.tol.abs_tol)
 
     # the two profile components: u = forward(hi) + backward(lo)
     def forward_profile(self, y: float) -> float:

@@ -418,8 +418,9 @@ class TestVerifyCommand:
         capsys.readouterr()
 
     def test_t_max_below_velocity_probe_window_exits_3(self, tmp_path, capsys):
-        # the t = 0 velocity probe reads u up to t = 1e-8, past this t_max, so
-        # it would need g beyond the velocity table's scaled argument range
+        # at alpha 0.9 the t = 0 velocity probe reads u up to t = eps^(1/1.8),
+        # about 2.0e-9, past this t_max, so it would need g beyond the
+        # velocity table's scaled argument range
         path = write_problem(tmp_path / "p.yaml", alpha=0.9, t_max="1.0e-9")
         out = tmp_path / "report.json"
         assert main(["verify", str(path), "--out", str(out)]) == EXIT_NUMERICAL

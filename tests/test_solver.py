@@ -75,19 +75,22 @@ class TestGIntegral:
         with pytest.raises(EvaluationError, match=r"velocity profile g = .* on \[0, 2\]"):
             g_integral(parse("1/(x-1)"), 0.0, 2.0)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         fn = lambda xs: np.sin(xs)
+        monkeypatch.setattr(solver, "SUBDIVISION_BUDGET", 2)
         with pytest.raises(QuadratureError):
-            _simpson_batch(fn, np.array([0.0]), np.array([20.0]), 1e-10, budget=2)
+            _simpson_batch(fn, np.array([0.0]), np.array([20.0]), 1e-10)
 
-    def test_budget_counts_the_whole_call(self):
+    def test_budget_counts_the_whole_call(self, monkeypatch):
         # one such interval needs exactly 989 subdivisions, so two exceed 989
         lo, hi = np.zeros(2), np.full(2, 20.0)
+        monkeypatch.setattr(solver, "SUBDIVISION_BUDGET", 988)
         with pytest.raises(QuadratureError):
-            _simpson_batch(np.sin, lo[:1], hi[:1], 1e-10, budget=988)
-        assert _simpson_batch(np.sin, lo[:1], hi[:1], 1e-10, budget=989).size == 1
+            _simpson_batch(np.sin, lo[:1], hi[:1], 1e-10)
+        monkeypatch.setattr(solver, "SUBDIVISION_BUDGET", 989)
+        assert _simpson_batch(np.sin, lo[:1], hi[:1], 1e-10).size == 1
         with pytest.raises(QuadratureError, match="exceeded 989 subdivisions"):
-            _simpson_batch(np.sin, lo, hi, 1e-10, budget=989)
+            _simpson_batch(np.sin, lo, hi, 1e-10)
 
 
 class TestWaveProblem:
@@ -432,10 +435,11 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("chunk, nx", [(1, 3), (7, 5), (4096, 33)])
     def test_tight_tolerance_probe_grid_independent_of_chunk(self, monkeypatch, chunk, nx):
         # the t = 0 velocity probe: 513 window times per x over the one-sided
-        # difference window, on the solution at its own tolerance
+        # difference window of an order-0.8 derivative at 0, on the solution
+        # at its own tolerance
         sol = solve_dalembert(problem(0.8))
         xs = np.linspace(0.0, 6.0, nx)
-        ts = np.linspace(0.0, float(_difference_step(0.0)), 513)
+        ts = np.linspace(0.0, float(_difference_step(0.0, 0.8)), 513)
         monkeypatch.setattr(solver, "_CHUNK", chunk)
         got = evaluate_grid(sol, xs, ts)
         assert got.tobytes() == self.one_batch(sol, xs, ts).tobytes()
@@ -513,7 +517,8 @@ class TestAntiderivativeTable:
         antiderivative = self.SOL._antiderivative
         got = (antiderivative(np.array([hi])) - antiderivative(np.array([lo])))[0]
         reference = _simpson_batch(
-            self.SOL._g_fn, np.array([lo]), np.array([hi]), 1e-3 * self.ABS_TOL
+            functools.partial(evaluate, self.SOL.problem.g),
+            np.array([lo]), np.array([hi]), 1e-3 * self.ABS_TOL,
         )[0]
         assert abs(got - reference) <= self.ABS_TOL
 
@@ -603,7 +608,7 @@ class TestAntiderivativeTable:
     ):
         # only the message depends on the floor, nothing is refused up front:
         # TestToleranceOracle's pinned example converges far below its floor
-        monkeypatch.setattr(solver, "_simpson_batch", functools.partial(_simpson_batch, budget=budget))
+        monkeypatch.setattr(solver, "SUBDIVISION_BUDGET", budget)
         prob = problem(0.95, c=3.0, f="0", g=g, x_max=2 * math.pi, t_max=2 * math.pi)
         sol = solve_dalembert(prob, Tolerance(abs_tol))
         with pytest.raises(QuadratureError, match=r"velocity profile g = .*: adaptive quadrature") as info:
