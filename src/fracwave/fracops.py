@@ -121,11 +121,12 @@ def _difference_step(x, alpha: float = 1.0):
     # elementwise on arrays.  At x = 0 the outer derivative of an order
     # alpha < 1 operator differences something that grows like h^(1-alpha):
     # its bias is O(h^alpha) and rounding is amplified by h^-alpha, which
-    # balance at h = eps^(1/(2 alpha)), kept a normal double
+    # balance at h = eps^(1/(2 alpha)).  Below alpha ~ 0.05 that underflows
+    # the product rule's moment h^(2-alpha), so h stays >= sqrt(tiny)
     h = np.maximum(1e-5 * np.abs(x), 1e-8)
     if alpha == 1.0:
         return h
-    window = max(np.finfo(float).eps ** (0.5 / alpha), np.finfo(float).tiny)
+    window = max(np.finfo(float).eps ** (0.5 / alpha), np.finfo(float).tiny ** 0.5)
     return np.where(x == 0.0, window, h)
 
 
