@@ -444,7 +444,6 @@ class TestEvaluateGrid:
         got = evaluate_grid(sol, xs, ts)
         assert got.tobytes() == self.one_batch(sol, xs, ts).tobytes()
 
-
     def test_indexes_its_grid_without_copies(self):
         # no coordinate grids: beyond the output only one batch's temporaries
         sol = solve_first_order(problem(0.5, f="sin(x)"))
