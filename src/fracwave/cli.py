@@ -32,7 +32,7 @@ from .solver import (
 )
 from .verify import (
     MIN_RESIDUAL_CELLS,
-    ROUTE_EQUIVALENCE_TOL,
+    RouteReport,
     check_initial_conditions,
     compare_candidate_forms,
     candidate_product_forms,
@@ -256,10 +256,9 @@ def cmd_verify(args) -> int:
     base_nx, base_nt = _grid(args, 64, 64)
     report: dict = {"schema_version": SCHEMA_VERSION, "problem": str(args.problem),
                     "alpha": pf.problem.alpha, "equation": pf.equation}
-    failures: list[str] = []
-    sol = _solve(pf)
+    text = [f"verification of {args.problem} (alpha = {pf.problem.alpha}, {pf.equation})"]
+    sol = subject = _solve(pf)
     candidate = args.candidate_form
-    subject = sol
     if candidate != "quadrature":
         forms = candidate_product_forms(pf.problem)
         if forms is None or candidate not in forms:
@@ -269,81 +268,25 @@ def cmd_verify(args) -> int:
             )
         subject = forms[candidate]
         report["candidate_form"] = candidate
+        text.append(f"  subject: candidate closed form '{candidate}'")
 
-    ic = check_initial_conditions(pf.problem, subject)
-    report["initial_conditions"] = ic.to_dict()
-    if not ic.passed:
-        failures.append("initial-condition check failed")
-
+    # each report owns its JSON block, verdict, failure message and text lines
+    checks = {"initial_conditions": check_initial_conditions(pf.problem, subject)}
     if pf.equation == "dalembert":
-        resid = pde_residual(pf.problem, subject, base_nx, base_nt)
-        report["residual"] = resid.to_dict()
-        if not resid.monotone:
-            failures.append("residual did not decrease under grid refinement")
-        forms_report = compare_candidate_forms(pf.problem, sol)
-        if forms_report is not None:
-            report["candidate_forms"] = forms_report.to_dict()
+        checks["residual"] = pde_residual(pf.problem, subject, base_nx, base_nt)
+        if (forms_report := compare_candidate_forms(pf.problem, sol)) is not None:
+            checks["candidate_forms"] = forms_report
         report["route_equivalence"] = {"applicable": False}
     else:
-        deviation = route_equivalence(pf.problem)
-        report["route_equivalence"] = {
-            "applicable": True,
-            "max_deviation": deviation,
-            "tol": ROUTE_EQUIVALENCE_TOL,
-        }
-        if deviation > ROUTE_EQUIVALENCE_TOL:
-            failures.append("characteristics and transform routes disagree")
+        checks["route_equivalence"] = RouteReport(route_equivalence(pf.problem))
 
-    report["failures"] = failures
-    report["passed"] = not failures
+    failures = [check.failure for check in checks.values() if not check.passed]
+    report |= {name: check.to_dict() for name, check in checks.items()}
+    report |= {"failures": failures, "passed": not failures}
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(_verify_text_block(report))
-    return EXIT_OK if not failures else EXIT_VERIFY
-
-
-def _verify_text_block(report: dict) -> str:
-    lines = [
-        f"verification of {report['problem']} (alpha = {report['alpha']}, "
-        f"{report['equation']})"
-    ]
-    if "candidate_form" in report:
-        lines.append(f"  subject: candidate closed form '{report['candidate_form']}'")
-    ic = report["initial_conditions"]
-    lines.append(
-        f"  u(x,0) = f(X'):        max error {ic['position_max_error']:.3e}  "
-        f"[{'pass' if ic['position_pass'] else 'FAIL'}]"
-    )
-    if ic["velocity_max_error"] is not None:
-        lines.append(
-            f"  alpha-velocity at t=0: max error {ic['velocity_max_error']:.3e}  "
-            f"[{'pass' if ic['velocity_pass'] else 'FAIL'}]"
-        )
-    if "residual" in report:
-        resid = report["residual"]
-        seq = " -> ".join(f"{lv['linf']:.4e}" for lv in resid["levels"])
-        lines.append(
-            f"  wave-equation residual Linf across refinements: {seq}  "
-            f"[{'pass' if resid['monotone'] else 'FAIL'}]"
-        )
-        lines.append(f"    interior-core Linf at finest level: {resid['levels'][-1]['core_linf']:.3e}")
-        for note in resid["notes"]:
-            lines.append(f"    note: {note}")
-    if "candidate_forms" in report:
-        forms = report["candidate_forms"]
-        for name in forms["candidates"]:
-            lines.append(
-                f"  candidate '{name}': IC error {forms['ic_max_error'][name]:.3e}, "
-                f"max gap vs quadrature {forms['gap_vs_quadrature'][name]:.3e}"
-            )
-        lines.append(f"    note: {forms['note']}")
-    route = report.get("route_equivalence", {})
-    if route.get("applicable"):
-        lines.append(
-            f"  route equivalence: max deviation {route['max_deviation']:.3e}  "
-            f"[{'pass' if route['max_deviation'] <= route['tol'] else 'FAIL'}]"
-        )
-    lines.append("  result: " + ("PASS" if report["passed"] else "FAIL"))
-    return "\n".join(lines)
+    text += [line for check in checks.values() for line in check.lines()]
+    print("\n".join(text + ["  result: " + ("FAIL" if failures else "PASS")]))
+    return EXIT_VERIFY if failures else EXIT_OK
 
 
 def _write_order_fields(pf: ProblemFile, alphas, outdir: Path, prefix: str) -> None:

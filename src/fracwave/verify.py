@@ -2,6 +2,9 @@
 initial-condition checks, grid residuals of the wave equation under composed
 fractional derivatives, route equivalence for the first-order equation, and
 the continuous-dependence (stability) bound.
+
+Each check that `fracwave verify` runs returns a report that owns its block:
+to_dict() for the JSON, passed, the failure message and lines() for the text.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from .transform import fractal_scale
 RESIDUAL_FLOOR = 1e-8  # below this, refinement levels count as converged
 MIN_RESIDUAL_CELLS = 32  # per axis, for the coarsest level of pde_residual
 COLLAR_CELLS = 2  # residual norms skip this many cells at the x = 0 and t = 0 edges
+
+
+def _mark(ok: bool) -> str:
+    return "[pass]" if ok else "[FAIL]"
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,7 @@ class InitialConditionReport:
     velocity_max_error: float | None
     velocity_tol: float | None
     velocity_pass: bool
+    failure = "initial-condition check failed"
 
     @property
     def passed(self) -> bool:
@@ -67,6 +75,14 @@ class InitialConditionReport:
 
     def to_dict(self) -> dict:
         return asdict(self) | {"passed": self.passed}
+
+    def lines(self) -> list[str]:
+        out = [f"  u(x,0) = f(X'):        max error {self.position_max_error:.3e}  "
+               f"{_mark(self.position_pass)}"]
+        if self.velocity_max_error is not None:
+            out.append(f"  alpha-velocity at t=0: max error {self.velocity_max_error:.3e}  "
+                       f"{_mark(self.velocity_pass)}")
+        return out
 
 
 def check_initial_conditions(problem: WaveProblem, sol) -> InitialConditionReport:
@@ -130,6 +146,11 @@ class ResidualReport:
     slope: float | None
     monotone: bool
     notes: tuple[str, ...]
+    failure = "residual did not decrease under grid refinement"
+
+    @property
+    def passed(self) -> bool:
+        return self.monotone
 
     @property
     def residual_linf(self) -> float:
@@ -142,6 +163,12 @@ class ResidualReport:
     def to_dict(self) -> dict:
         finest = {"residual_linf": self.residual_linf, "residual_l2": self.residual_l2}
         return asdict(self) | finest
+
+    def lines(self) -> list[str]:
+        seq = " -> ".join(f"{lv.linf:.4e}" for lv in self.levels)
+        return [f"  wave-equation residual Linf across refinements: {seq}  {_mark(self.monotone)}",
+                f"    interior-core Linf at finest level: {self.levels[-1].core_linf:.3e}",
+                *(f"    note: {note}" for note in self.notes)]
 
 
 COMPOSITION_NOTE = (
@@ -221,6 +248,26 @@ def pde_residual(problem: WaveProblem, sol, nx: int, nt: int, levels: int = 3) -
 # --- route equivalence ------------------------------------------------------------
 
 ROUTE_EQUIVALENCE_TOL = 1e-12  # largest deviation at which the two routes agree
+
+
+@dataclass(frozen=True)
+class RouteReport:
+    """route_equivalence's deviation, judged against tol."""
+
+    max_deviation: float
+    tol: float = ROUTE_EQUIVALENCE_TOL
+    failure = "characteristics and transform routes disagree"
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tol
+
+    def to_dict(self) -> dict:
+        return {"applicable": True} | asdict(self)
+
+    def lines(self) -> list[str]:
+        return [f"  route equivalence: max deviation {self.max_deviation:.3e}  "
+                f"{_mark(self.passed)}"]
 
 
 def route_equivalence(
@@ -325,9 +372,17 @@ class FormComparison:
     ic_max_error: dict[str, float] = field(default_factory=dict)
     gap_vs_quadrature: dict[str, float] = field(default_factory=dict)
     note: str = DISCREPANCY_NOTE
+    passed = True  # a finding, not a check: it never fails verify
+    failure = None
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def lines(self) -> list[str]:
+        return [*(f"  candidate '{name}': IC error {self.ic_max_error[name]:.3e}, "
+                  f"max gap vs quadrature {self.gap_vs_quadrature[name]:.3e}"
+                  for name in self.candidates),
+                f"    note: {self.note}"]
 
 
 def _is_sin_of_x(expr) -> bool:
