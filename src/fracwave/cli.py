@@ -261,16 +261,15 @@ def cmd_verify(args) -> int:
     candidate = args.candidate_form
     if candidate != "quadrature":
         forms = candidate_product_forms(pf.problem)
-        if forms is None or candidate not in forms:
+        if pf.equation != "dalembert" or forms is None or candidate not in forms:
             raise ProblemFileError(
-                f"--candidate-form {candidate} requires a problem matching "
+                f"--candidate-form {candidate} requires a d'Alembert problem matching "
                 "one of the worked example shapes"
             )
         subject = forms[candidate]
         report["candidate_form"] = candidate
         text.append(f"  subject: candidate closed form '{candidate}'")
 
-    # each report owns its JSON block, verdict, failure message and text lines
     checks = {"initial_conditions": check_initial_conditions(pf.problem, subject)}
     if pf.equation == "dalembert":
         checks["residual"] = pde_residual(pf.problem, subject, base_nx, base_nt)

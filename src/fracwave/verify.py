@@ -372,8 +372,7 @@ class FormComparison:
     ic_max_error: dict[str, float] = field(default_factory=dict)
     gap_vs_quadrature: dict[str, float] = field(default_factory=dict)
     note: str = DISCREPANCY_NOTE
-    passed = True  # a finding, not a check: it never fails verify
-    failure = None
+    passed = True  # a finding, not a check: it never fails verify, so it has no failure
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -69,6 +69,53 @@ def key_paths(node, prefix=""):
     return paths
 
 
+def reference_text_block(report: dict) -> str:
+    """The text summary of `verify`, rebuilt from its JSON report alone: the
+    reports render their own lines, and this pins them to the report's keys."""
+    lines = [
+        f"verification of {report['problem']} (alpha = {report['alpha']}, "
+        f"{report['equation']})"
+    ]
+    if "candidate_form" in report:
+        lines.append(f"  subject: candidate closed form '{report['candidate_form']}'")
+    ic = report["initial_conditions"]
+    lines.append(
+        f"  u(x,0) = f(X'):        max error {ic['position_max_error']:.3e}  "
+        f"[{'pass' if ic['position_pass'] else 'FAIL'}]"
+    )
+    if ic["velocity_max_error"] is not None:
+        lines.append(
+            f"  alpha-velocity at t=0: max error {ic['velocity_max_error']:.3e}  "
+            f"[{'pass' if ic['velocity_pass'] else 'FAIL'}]"
+        )
+    if "residual" in report:
+        resid = report["residual"]
+        seq = " -> ".join(f"{lv['linf']:.4e}" for lv in resid["levels"])
+        lines.append(
+            f"  wave-equation residual Linf across refinements: {seq}  "
+            f"[{'pass' if resid['monotone'] else 'FAIL'}]"
+        )
+        lines.append(f"    interior-core Linf at finest level: {resid['levels'][-1]['core_linf']:.3e}")
+        for note in resid["notes"]:
+            lines.append(f"    note: {note}")
+    if "candidate_forms" in report:
+        forms = report["candidate_forms"]
+        for name in forms["candidates"]:
+            lines.append(
+                f"  candidate '{name}': IC error {forms['ic_max_error'][name]:.3e}, "
+                f"max gap vs quadrature {forms['gap_vs_quadrature'][name]:.3e}"
+            )
+        lines.append(f"    note: {forms['note']}")
+    route = report.get("route_equivalence", {})
+    if route.get("applicable"):
+        lines.append(
+            f"  route equivalence: max deviation {route['max_deviation']:.3e}  "
+            f"[{'pass' if route['max_deviation'] <= route['tol'] else 'FAIL'}]"
+        )
+    lines.append("  result: " + ("PASS" if report["passed"] else "FAIL"))
+    return "\n".join(lines)
+
+
 def write_problem(path, **overrides):
     base = {
         "schema_version": 1,
@@ -415,7 +462,23 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())  # report still written
         assert not report["passed"]
         assert report["initial_conditions"]["position_max_error"] > 0.5
-        capsys.readouterr()
+        stdout = capsys.readouterr().out
+        assert "[FAIL]" in stdout.splitlines()[2]  # the u(x,0) line
+        assert stdout.endswith("  result: FAIL\n")
+        assert stdout == reference_text_block(report) + "\n"
+
+    def test_route_disagreement_fails_with_exit_5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fracwave.cli.route_equivalence", lambda problem: 1e-9)
+        out = tmp_path / "report.json"
+        path = SHIPPED[0].parent / "first_order.yaml"
+        assert main(["verify", str(path), "--out", str(out)]) == EXIT_VERIFY
+        report = json.loads(out.read_text())
+        assert report["failures"] == ["characteristics and transform routes disagree"]
+        assert report["route_equivalence"]["max_deviation"] == 1e-9
+        stdout = capsys.readouterr().out
+        assert "  route equivalence: max deviation 1.000e-09  [FAIL]" in stdout.splitlines()
+        assert stdout.endswith("  result: FAIL\n")
+        assert stdout == reference_text_block(report) + "\n"
 
     def test_t_max_below_velocity_probe_window_exits_3(self, tmp_path, capsys):
         # at alpha 0.9 the t = 0 velocity probe reads u up to t = eps^(1/1.8),
@@ -428,13 +491,16 @@ class TestVerifyCommand:
         assert not out.exists()
 
     def test_candidate_form_requires_example_shape(self, tmp_path, capsys):
-        path = write_problem(tmp_path / "p.yaml", g='"cos(x)"')
-        rc = main(
-            ["verify", str(path), "--out", str(tmp_path / "r.json"),
-             "--candidate-form", "cos_product"]
-        )
-        assert rc == EXIT_INPUT
-        capsys.readouterr()
+        # g off the example shape; then the example shape on a first-order
+        # problem, whose travelling wave no d'Alembert product form describes
+        for overrides, form in (({"g": '"cos(x)"'}, "cos_product"),
+                                ({"equation": "first_order"}, "sin_product")):
+            path = write_problem(tmp_path / "p.yaml", **overrides)
+            out = tmp_path / "r.json"
+            rc = main(["verify", str(path), "--out", str(out), "--candidate-form", form])
+            assert rc == EXIT_INPUT
+            assert "requires a d'Alembert problem" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestShippedProblemFiles:
@@ -457,8 +523,9 @@ class TestShippedProblemFiles:
         out = tmp_path / "report.json"
         path = SHIPPED[0].parent / f"{name}.yaml"
         assert main(["verify", str(path), "--out", str(out), *flags]) == EXIT_OK
-        capsys.readouterr()
+        stdout = capsys.readouterr().out
         report = json.loads(out.read_text())
+        assert stdout == reference_text_block(report) + "\n"
         first_order = name == "first_order"
         expected = REPORT_KEYS | IC_KEYS
         if first_order:
