@@ -14,14 +14,23 @@ that [0, x_max] x [0, t_max] reaches; outside it A raises DomainError:
 
 - Knots: _TABLE_CELLS + 1 evenly spaced points spanning
   WaveProblem.scaled_argument_range().  Each cell is integrated once by
-  adaptive Simpson, and G[k] is the cumulative sum up to knot k.
-- A(y) = G[k] + tail[knots[k], y], with k the last knot <= y; the tail is
-  integrated adaptively.  Each value depends on its own y and the fixed
-  table alone, so results are bit-identical however points are batched, and
-  at t = 0 (lo == hi) the velocity term is exactly 0.
-- Tolerance split: each cell gets abs_tol / (2 _TABLE_CELLS), so the table
-  contributes at most abs_tol / 2, and each of the two tails gets
-  abs_tol / 4; the difference stays within abs_tol.
+  adaptive Simpson, and G[k] is the cumulative sum up to knot k.  The table
+  also keeps every interval the quadrature accepted, sorted: its value,
+  Boole's rule, is the exact integral of the quartic Q through g at the
+  interval's five nodes.
+- A(y) = G[k] + prefix[j] + integral of Q_j from a_j to y, with j the
+  accepted interval [a_j, b_j] holding y, k its cell and prefix[j] the
+  accepted intervals before a_j in that cell: a search and a Horner step
+  per point, with no evaluation of g.  Each value depends on its own y and
+  the fixed table alone, so results are bit-identical however points are
+  batched, and at t = 0 (lo == hi) the velocity term is exactly 0.
+- Tolerance split: each cell's accepted intervals together get
+  abs_tol / (2 _TABLE_CELLS), so the intervals a difference spans whole
+  contribute at most abs_tol / 2.  The other half covers the partial reads
+  of Q at its two ends: their error is of higher order in the interval's
+  width than the Simpson estimate that accepted it, but is not certified
+  on its own.  The difference stays within abs_tol, plus the rounding of
+  the prefix sums.
 - Consequence: the first dalembert evaluation integrates g over the whole
   scaled argument range, so a velocity profile that cannot be integrated
   anywhere in that range fails on any point, at once.
@@ -55,6 +64,7 @@ def _simpson_batch(
     lo: np.ndarray,
     hi: np.ndarray,
     abs_tol: float,
+    accepted: list | None = None,
 ) -> np.ndarray:
     """Adaptive Simpson integrals of fn over many [lo, hi] intervals at once.
 
@@ -64,9 +74,14 @@ def _simpson_batch(
     estimates, and contributions are accumulated in a fixed order, so values
     are deterministic and never depend on how intervals are batched.
     SUBDIVISION_BUDGET, read at each call, counts the subdivisions of the
-    whole call, which also bounds the worklist's memory, so whether it trips
-    can depend on the batching.
+    whole call, which also bounds the worklist's memory.
     Requires lo <= hi elementwise.
+
+    An accepted interval [a, b] contributes s2 + err / 15, Boole's rule: the
+    exact integral of the quartic through fn at its five nodes a, a + w/4,
+    (a + b) / 2, a + 3w/4, b, with w = b - a.  When accepted is a list, each
+    level appends its accepted intervals as (index into lo, a, b, fn at the
+    five nodes with shape (5, n), contribution).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -90,7 +105,12 @@ def _simpson_batch(
         err = s2 - s
         width_floor = (b - a) <= 16.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b) + 1.0)
         done = (np.abs(err) <= 15.0 * tol) | width_floor
-        np.add.at(out, orig[done], s2[done] + err[done] / 15.0)
+        boole = s2[done] + err[done] / 15.0
+        np.add.at(out, orig[done], boole)
+        if accepted is not None:
+            accepted.append(
+                (orig[done], a[done], b[done], np.stack((fa, flm, fm, frm, fb))[:, done], boole)
+            )
         keep = ~done
         subdivisions += np.count_nonzero(keep)
         if subdivisions > SUBDIVISION_BUDGET:
@@ -112,10 +132,11 @@ def _simpson_batch(
 
 
 def _integrate_cells(
-    g: Expression, lo: float, hi: float, tol: Tolerance
+    g: Expression, lo: float, hi: float, tol: Tolerance, accepted: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The integral of g over each of _TABLE_CELLS equal cells of [lo, hi],
-    each within abs_tol / (2 _TABLE_CELLS), as (knots, cells).
+    each within abs_tol / (2 _TABLE_CELLS), as (knots, cells); accepted
+    collects the cells' accepted intervals as in _simpson_batch.
 
     Equal cells, not one adaptive panel: one wide panel can pass its error
     test by chance on an oscillating g.  A failure names g and [lo, hi], and
@@ -125,7 +146,7 @@ def _integrate_cells(
     knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
     cell_tol = 0.5 * tol.abs_tol / _TABLE_CELLS
     try:
-        return knots, _simpson_batch(fn, knots[:-1], knots[1:], cell_tol)
+        return knots, _simpson_batch(fn, knots[:-1], knots[1:], cell_tol, accepted)
     except (QuadratureError, EvaluationError) as exc:
         note = ""
         if isinstance(exc, QuadratureError):  # after an EvaluationError a knot may be a pole
@@ -265,19 +286,45 @@ class ClosedFormSolution:
     __call__ = evaluate
 
     @functools.cached_property
+    def _quartic_table(self) -> tuple[np.ndarray, ...]:
+        """The velocity table: knots spanning the scaled argument range, G,
+        the integral of g from the first knot to each knot, and the accepted
+        intervals of the cells' quadrature sorted by left end a: a, the width
+        w, A(a), and the coefficients c_1..c_5 of the integral of the
+        interval's quartic Q from a to a + r w/4, sum_p c_p r^p for r in
+        [0, 4]."""
+        prob = self.problem
+        accepted = []
+        knots, cells = _integrate_cells(prob.g, *prob.scaled_argument_range(), self.tol, accepted)
+        G = np.concatenate([[0.0], np.cumsum(cells)])
+        cell, a, b, f, boole = (np.concatenate(part, axis=-1) for part in zip(*accepted))
+        order = np.argsort(a, kind="stable")
+        cell, a, w, f, boole = cell[order], a[order], (b - a)[order], f[:, order], boole[order]
+        # A(a) = G at the cell's knot plus the intervals before a in the cell,
+        # a difference of one running sum over all intervals
+        before = np.concatenate([[0.0], np.cumsum(boole)[:-1]])
+        start = G[cell] + (before - before[np.searchsorted(cell, cell)])
+        # Newton's forward differences of the node values give Q(r), r = 0..4
+        d1, d2, d3, d4 = (np.diff(f, k, axis=0)[0] for k in (1, 2, 3, 4))
+        coef = np.stack(
+            (f[0], d1 / 2 - d2 / 4 + d3 / 6 - d4 / 8, (d2 - d3) / 6 + 11 * d4 / 72,
+             d3 / 24 - d4 / 16, d4 / 120),
+            axis=-1,
+        )
+        return knots, G, a, w, start, 0.25 * w[:, None] * coef
+
+    @property
     def _antiderivative_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Knots spanning the scaled argument range and G, the integral of g
         from the first knot to each knot."""
-        prob = self.problem
-        knots, cells = _integrate_cells(prob.g, *prob.scaled_argument_range(), self.tol)
-        return knots, np.concatenate([[0.0], np.cumsum(cells)])
+        return self._quartic_table[:2]
 
     def _antiderivative(self, y: np.ndarray) -> np.ndarray:
-        """Integral of g from the first knot to each y: the table up to the
-        last knot <= y plus a tail from that knot to y; see the module
-        docstring.  Raises DomainError unless every y lies in the table's
-        range, the scaled argument range."""
-        knots, table = self._antiderivative_table
+        """Integral of g from the first knot to each y, read from the table:
+        A at the left end of the accepted interval holding y plus the integral
+        of its quartic up to y; see the module docstring.  Raises DomainError
+        unless every y lies in the table's range, the scaled argument range."""
+        knots, _, a, w, start, coef = self._quartic_table
         if not np.all((y >= knots[0]) & (y <= knots[-1])):  # NaN fails too
             prob = self.problem
             raise DomainError(
@@ -285,9 +332,10 @@ class ClosedFormSolution:
                 f"[{knots[0]:.6g}, {knots[-1]:.6g}]; a solution is defined on "
                 f"[0, x_max] x [0, t_max] = [0, {prob.x_max:.6g}] x [0, {prob.t_max:.6g}]"
             )
-        k = np.searchsorted(knots, y, side="right") - 1
-        g = functools.partial(evaluate, self.problem.g)  # per call, as in _integrate_cells
-        return table[k] + _simpson_batch(g, knots[k], y, 0.25 * self.tol.abs_tol)
+        j = np.searchsorted(a, y, side="right") - 1
+        r = 4.0 * (y - a[j]) / w[j]
+        c1, c2, c3, c4, c5 = coef[j].T
+        return start[j] + r * (c1 + r * (c2 + r * (c3 + r * (c4 + r * c5))))
 
     # the two profile components: u = forward(hi) + backward(lo)
     def forward_profile(self, y: float) -> float:

@@ -399,6 +399,22 @@ class TestToleranceOracle:
         rounding = solver._TABLE_CELLS * np.finfo(float).eps * np.abs(np.diff(table)).sum()
         assert np.abs(field.values - exact).max() <= (abs_tol + rounding) / (2.0 * c_a)
 
+    @pytest.mark.parametrize("abs_tol", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("profile", [rate_profile("sin", 1.0), rate_profile("cos", 2.0)])
+    def test_dense_antiderivative_sweep_within_stated_tolerance(self, profile, abs_tol):
+        # a 9x9 field can miss an error between its nodes: about 2e5 arguments
+        # fall inside nearly every accepted interval, each differenced against
+        # one from the other end of the range
+        text, antiderivative = profile
+        prob = problem(0.8, c=1.3, f="0", g=text, x_max=6.0, t_max=2.0)
+        sol = solve_dalembert(prob, Tolerance(abs_tol))
+        y = np.linspace(*prob.scaled_argument_range(), 200_001)
+        got = sol._antiderivative(y) - sol._antiderivative(y[::-1])
+        exact = antiderivative(y) - antiderivative(y[::-1])
+        _, table = sol._antiderivative_table
+        rounding = solver._TABLE_CELLS * np.finfo(float).eps * np.abs(np.diff(table)).sum()
+        assert np.abs(got - exact).max() <= abs_tol + rounding
+
 
 class TestEvaluateGrid:
     """The shared dense loop returns the bits of one big evaluate_many batch,
@@ -459,9 +475,9 @@ class TestEvaluateGrid:
 
 
 class TestAntiderivativeTable:
-    """Velocity integrals come from one cached antiderivative table plus two
-    adaptive tails per interval.  The table's range, the scaled argument
-    range, is the antiderivative's domain: beyond it DomainError."""
+    """Velocity integrals are read from one cached antiderivative table, with
+    no quadrature per point.  The table's range, the scaled argument range,
+    is the antiderivative's domain: beyond it DomainError."""
 
     ABS_TOL = 1e-6  # loose, so the tolerance split is actually exercised
     SOL = solve_dalembert(
@@ -520,6 +536,21 @@ class TestAntiderivativeTable:
             np.array([lo]), np.array([hi]), 1e-3 * self.ABS_TOL,
         )[0]
         assert abs(got - reference) <= self.ABS_TOL
+
+    def test_one_quadrature_pass_per_solution(self, monkeypatch):
+        # once the table is built, a field evaluates only f, at each point's
+        # two ends, and never g
+        sol = solve_dalembert(problem(0.8))
+        sol.evaluate(1.0, 1.0)
+        points = []
+
+        def counting(expr, value):
+            points.append(np.size(value))
+            return evaluate(expr, value)
+
+        monkeypatch.setattr(solver, "evaluate", counting)
+        evaluate_field(sol, 65, 65)
+        assert sum(points) == 2 * 65 * 65
 
     def test_argument_range_ends_are_accepted(self):
         lo, hi = self.SOL.problem.scaled_argument_range()
