@@ -79,19 +79,18 @@ def _kernel_node_weights(mu: float, upper: float, n: int) -> np.ndarray:
     """Node weights of the product rule on the uniform grid xi_j = j*upper/n.
 
     Exact for piecewise-linear f; valid for 0 < mu <= 1 (weakly singular or
-    regular kernel).
+    regular kernel).  The moments are taken on the unit grid and the weights
+    scaled once by h^mu, formed as upper^mu n^-mu: h = upper/n underflows at
+    a subnormal upper, and (k h)^(mu+1) overflows at a huge one.
     """
-    h = upper / n
     k = np.arange(0, n + 1, dtype=float)
-    s_mu = (k * h) ** mu
-    s_mu1 = (k * h) ** (mu + 1.0)
-    a = (s_mu[1:] - s_mu[:-1]) / mu                    # kernel mass of panel k
-    b = (s_mu1[1:] - s_mu1[:-1]) / (mu + 1.0)
-    r = b / h - np.arange(0, n, dtype=float) * a       # first-moment split
+    a = np.diff(k**mu) / mu                            # kernel mass of panel k
+    b = np.diff(k ** (mu + 1.0)) / (mu + 1.0)
+    r = b - k[:-1] * a                                 # first-moment split
     w = np.zeros(n + 1)
     w[:-1] += r[::-1]
     w[1:] += (a - r)[::-1]
-    return w
+    return w * (upper**mu * n**-mu)
 
 
 def _float_if_scalar(out: np.ndarray):
@@ -104,13 +103,11 @@ def _singular_integral(fn: Callable, mu: float, upper: float, n: int):
     if upper == 0.0:
         # an empty interval: zeros shaped like fn's rows, learnt at one node
         return _float_if_scalar(np.zeros(np.shape(fn(np.zeros(1)))[:-1]))
-    if upper / n < np.finfo(float).tiny:
-        # panels this narrow are subnormal or 0 wide (0/0 weights); on an
-        # interval this short one panel resolves any continuous integrand
-        n = 1
+    # the rule on [0, 1], scaled by upper^mu: a subnormal upper keeps its
+    # digits even where the weights on [0, upper] would underflow (mu = 1)
     nodes = np.linspace(0.0, upper, n + 1)
     fx = np.asarray(fn(nodes), dtype=float)
-    out = fx @ _kernel_node_weights(mu, upper, n)
+    out = fx @ _kernel_node_weights(mu, 1.0, n) * upper**mu
     if not np.all(np.isfinite(out)):
         raise QuadratureError(f"singular product rule returned {out!r}")
     return _float_if_scalar(out)
@@ -119,14 +116,12 @@ def _singular_integral(fn: Callable, mu: float, upper: float, n: int):
 def _difference_step(x, alpha: float = 1.0):
     # step policy for every outer/inner numerical derivative in this module;
     # elementwise on arrays.  At x = 0 the outer derivative of an order
-    # alpha < 1 operator differences something that grows like h^(1-alpha):
-    # its bias is O(h^alpha) and rounding is amplified by h^-alpha, which
-    # balance at h = eps^(1/(2 alpha)).  Below alpha ~ 0.05 that underflows
-    # the product rule's moment h^(2-alpha), so h stays >= sqrt(tiny)
+    # alpha operator differences something that grows like h^(1-alpha): its
+    # bias is O(h^alpha) and rounding is amplified by h^-alpha, which balance
+    # at h = eps^(1/(2 alpha)) (sqrt(eps) at alpha = 1).  The floor at tiny
+    # only keeps that window a positive normal double
     h = np.maximum(1e-5 * np.abs(x), 1e-8)
-    if alpha == 1.0:
-        return h
-    window = max(np.finfo(float).eps ** (0.5 / alpha), np.finfo(float).tiny ** 0.5)
+    window = max(np.finfo(float).eps ** (0.5 / alpha), np.finfo(float).tiny)
     return np.where(x == 0.0, window, h)
 
 

@@ -91,7 +91,7 @@ def check_initial_conditions(problem: WaveProblem, sol) -> InitialConditionRepor
 
     The velocity is the Jumarie derivative in t at t = 0, one series per x,
     with the product rule on the panels of VELOCITY_CONFIG over the one-sided
-    window h = eps^(1/(2 alpha)) (1e-8 at alpha = 1) that fracops gives a
+    window h = eps^(1/(2 alpha)) (1.49e-8 at alpha = 1) that fracops gives a
     derivative at 0.  It carries an O(h^alpha) bias plus quadrature noise
     amplified by h^-alpha, hence the looser VELOCITY_TOL; the failure signals
     it must detect are order one.
