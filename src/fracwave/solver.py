@@ -13,24 +13,30 @@ the solution.  A is defined on the table's range, the scaled argument range
 that [0, x_max] x [0, t_max] reaches; outside it A raises DomainError:
 
 - Knots: _TABLE_CELLS + 1 evenly spaced points spanning
-  WaveProblem.scaled_argument_range().  Each cell is integrated once by
-  adaptive Simpson, and G[k] is the cumulative sum up to knot k.  The table
-  also keeps every interval the quadrature accepted, sorted: its value,
-  Boole's rule, is the exact integral of the quartic Q through g at the
-  interval's five nodes.
-- A(y) = G[k] + prefix[j] + integral of Q_j from a_j to y, with j the
-  accepted interval [a_j, b_j] holding y, k its cell and prefix[j] the
-  accepted intervals before a_j in that cell: a search and a Horner step
-  per point, with no evaluation of g.  Each value depends on its own y and
-  the fixed table alone, so results are bit-identical however points are
-  batched, and at t = 0 (lo == hi) the velocity term is exactly 0.
-- Tolerance split: each cell's accepted intervals together get
-  abs_tol / (2 _TABLE_CELLS), so the intervals a difference spans whole
-  contribute at most abs_tol / 2.  The other half covers the partial reads
-  of Q at its two ends: their error is of higher order in the interval's
-  width than the Simpson estimate that accepted it, but is not certified
-  on its own.  The difference stays within abs_tol, plus the rounding of
-  the prefix sums.
+  WaveProblem.scaled_argument_range(), h apart.  On each cell g is
+  interpolated at the Chebyshev-Lobatto points of the first degree in
+  _DEGREES that passes the acceptance test below.  Each degree's nodes
+  contain the previous one's, and adjacent cells share their knots, so a
+  cell accepted at degree p costs p evaluations of g.  The interpolant's
+  integral is exact: an integrated Chebyshev series (Battles & Trefethen
+  2004, SIAM J. Sci. Comput. 25; Trefethen 2013, Approximation Theory and
+  Approximation Practice, ch. 19).  G[k] is the integral from the first knot
+  to knot k.
+- A(y) = G[k] + the integrated series of cell k, summed at y by Clenshaw's
+  recurrence: a search and a few multiply-adds per point, with no
+  evaluation of g.  Each value depends on its own y and the fixed table
+  alone, so results are bit-identical however points are batched, and at
+  t = 0 (lo == hi) the velocity term is exactly 0.
+- Acceptance: a cell passes at degree p when 2 h max(|a_(p-1)|, |a_p|) / p,
+  from its last two Chebyshev coefficients, is at most
+  abs_tol / (_TABLE_CELLS + 2) + eps h max|g at its nodes|.  The left side
+  estimates the error of any partial read of the cell's integral
+  (|integral of T_k| <= 2k / (k^2 - 1), doubled for aliasing).  A difference
+  spans at most every cell plus two partial reads, so it stays within
+  abs_tol plus the cells' rounding terms and the rounding of G's sums.
+- Refusals, before any cell is interpolated past its knots: an abs_tol below
+  eps h max|g at the knots|, the rounding floor of doubles.  After the
+  ladder: a cell that fails at the top degree, named.
 - Consequence: the first dalembert evaluation integrates g over the whole
   scaled argument range, so a velocity profile that cannot be integrated
   anywhere in that range fails on any point, at once.
@@ -50,117 +56,87 @@ from .expr import EvaluationError, Expression, evaluate, to_text
 from .fracops import QuadratureError
 from .transform import fractal_scale
 
-SUBDIVISION_BUDGET = 2 ** 21  # per call
 _CHUNK = 4096  # grid points per evaluation batch; bounds memory, results do not depend on it
 _TABLE_CELLS = 1024  # cells of the velocity antiderivative table
+_DEGREES = (4, 8, 16, 32)  # the cells' interpolation degrees, each dividing the next
 MIN_GRID_POINTS = 2  # per axis, for evaluate_field
 
 
-# --- adaptive Simpson, batched over many intervals ---------------------------
+# --- the velocity table -------------------------------------------------------
 
 
-def _simpson_batch(
-    fn,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    abs_tol: float,
-    accepted: list | None = None,
-) -> np.ndarray:
-    """Adaptive Simpson integrals of fn over many [lo, hi] intervals at once.
+def _velocity_table(
+    g: Expression, lo: float, hi: float, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The antiderivative table of g on [lo, hi], as (knots, G, C); see the
+    module docstring.  Row k of C holds the coefficient C_k of every cell's
+    integrated series sum_k C_k T_k(s), with s in [-1, 1] across the cell,
+    scaled by the cell's half width.
 
-    The worklist advances level-synchronously, one fn call per level, and
-    every interval of a level shares one tolerance, abs_tol halved per level.
-    An interval's subdivision decisions depend only on its own error
-    estimates, and contributions are accumulated in a fixed order, so values
-    are deterministic and never depend on how intervals are batched.
-    SUBDIVISION_BUDGET, read at each call, counts the subdivisions of the
-    whole call, which also bounds the worklist's memory.
-    Requires lo <= hi elementwise.
-
-    An accepted interval [a, b] contributes s2 + err / 15, Boole's rule: the
-    exact integral of the quartic through fn at its five nodes a, a + w/4,
-    (a + b) / 2, a + 3w/4, b, with w = b - a.  When accepted is a list, each
-    level appends its accepted intervals as (index into lo, a, b, fn at the
-    five nodes with shape (5, n), contribution).
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    out = np.zeros(lo.shape)
-    orig = np.nonzero(hi > lo)[0]
-    if not orig.size:
-        return out
-
-    a, b = lo[orig], hi[orig]
-    fa, fm, fb = fn(np.concatenate([a, 0.5 * (a + b), b])).reshape(3, -1)
-    s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = abs_tol
-    subdivisions = 0
-
-    while orig.size:
-        m = 0.5 * (a + b)
-        flm, frm = fn(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])).reshape(2, -1)
-        sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        s2 = sl + sr
-        err = s2 - s
-        width_floor = (b - a) <= 16.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b) + 1.0)
-        done = (np.abs(err) <= 15.0 * tol) | width_floor
-        boole = s2[done] + err[done] / 15.0
-        np.add.at(out, orig[done], boole)
-        if accepted is not None:
-            accepted.append(
-                (orig[done], a[done], b[done], np.stack((fa, flm, fm, frm, fb))[:, done], boole)
-            )
-        keep = ~done
-        subdivisions += np.count_nonzero(keep)
-        if subdivisions > SUBDIVISION_BUDGET:
-            raise QuadratureError(
-                f"adaptive quadrature exceeded {SUBDIVISION_BUDGET} subdivisions without converging"
-            )
-        # the kept intervals' left halves, then their right halves
-        orig, a, b, fa, fm, fb, s = (
-            np.concatenate([left[keep], right[keep]])
-            for left, right in (
-                (orig, orig), (a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (sl, sr)
-            )
-        )
-        tol *= 0.5
-
-    if not np.all(np.isfinite(out)):
-        raise QuadratureError("adaptive quadrature produced a non-finite result")
-    return out
-
-
-def _integrate_cells(
-    g: Expression, lo: float, hi: float, tol: Tolerance, accepted: list | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The integral of g over each of _TABLE_CELLS equal cells of [lo, hi],
-    each within abs_tol / (2 _TABLE_CELLS), as (knots, cells); accepted
-    collects the cells' accepted intervals as in _simpson_batch.
-
-    Equal cells, not one adaptive panel: one wide panel can pass its error
-    test by chance on an oscillating g.  A failure names g and [lo, hi], and
-    when the cells' tolerance lies below the rounding floor of doubles, says
-    so.  The exception keeps its type and attributes."""
+    A failure names g and [lo, hi]; the exception keeps its type and
+    attributes."""
     fn = functools.partial(evaluate, g)  # per call: a wrapper installed on evaluate sees it
     knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
-    cell_tol = 0.5 * tol.abs_tol / _TABLE_CELLS
+    half = 0.5 * np.diff(knots)  # each cell's own: a rounded common width would drift
+    h = knots[1] - knots[0]
+    eps = np.finfo(float).eps
     try:
-        return knots, _simpson_batch(fn, knots[:-1], knots[1:], cell_tol, accepted)
+        at_knots = fn(knots)
+        floor = eps * h * np.abs(at_knots).max()
+        if tol.abs_tol < floor:
+            raise QuadratureError(
+                f"adaptive quadrature refused abs_tol = {tol.abs_tol:.3g}: it lies below "
+                f"the rounding floor of doubles, eps h max|g at the knots| = {floor:.2g}"
+            )
+        C = np.zeros((_TABLE_CELLS, _DEGREES[-1] + 2))
+        pending = np.arange(_TABLE_CELLS)
+        values = np.stack((at_knots[1:], at_knots[:-1]), axis=1)  # degree 1: s = 1, -1
+        for p in _DEGREES:
+            # g at s_j = cos(pi j / p), j = 0..p; the previous degree's nodes are every step-th
+            j = np.arange(p + 1)
+            step = p // (values.shape[1] - 1)
+            new = j[j % step != 0]
+            grown = np.empty((pending.size, p + 1))
+            grown[:, ::step] = values
+            s = np.cos(np.pi * new / p)
+            grown[:, new] = fn(knots[pending, None] + half[pending, None] * (1.0 + s))
+            values = grown
+            # coefficients a_0..a_p of sum_k a_k T_k, by the DCT-I
+            cosine = (2.0 / p) * np.cos(np.pi * np.outer(j, j) / p)
+            cosine[:, [0, p]] *= 0.5
+            cosine[[0, p]] *= 0.5
+            a = values @ cosine.T
+            ok = (
+                2.0 * h * np.maximum(np.abs(a[:, p - 1]), np.abs(a[:, p])) / p
+                <= tol.abs_tol / (_TABLE_CELLS + 2) + eps * h * np.abs(values).max(axis=1)
+            )
+            # integral from -1: C_k = (a_(k-1) - a_(k+1)) / 2k with a_0 doubled,
+            # and C_0 makes the series 0 at s = -1
+            b = np.zeros((np.count_nonzero(ok), p + 3))
+            b[:, :p + 1] = a[ok]
+            b[:, 0] *= 2.0
+            k = np.arange(1, p + 2)
+            integrated = (b[:, :-2] - b[:, 2:]) / (2.0 * k)
+            C[pending[ok], 1:p + 2] = integrated
+            C[pending[ok], 0] = -(integrated * (-1.0) ** k).sum(axis=1)
+            pending, values = pending[~ok], values[~ok]
+            if not pending.size:
+                break
+        else:
+            cell = pending[0]
+            raise QuadratureError(
+                f"adaptive quadrature did not converge at degree {_DEGREES[-1]} on "
+                f"{pending.size} of {_TABLE_CELLS} cells, the first cell {cell}, "
+                f"[{knots[cell]:.6g}, {knots[cell + 1]:.6g}]"
+            )
+        C = half[:, None] * C[:, :p + 2]  # p: the top degree accepted
+        G = np.concatenate([[0.0], np.cumsum(C.sum(axis=1))])  # T_k(1) = 1
+        if not np.all(np.isfinite(G)):
+            raise QuadratureError("adaptive quadrature produced a non-finite result")
     except (QuadratureError, EvaluationError) as exc:
-        note = ""
-        if isinstance(exc, QuadratureError):  # after an EvaluationError a knot may be a pole
-            # below eps |g| h per cell, a cell's error estimate is rounding noise
-            h = knots[1] - knots[0]
-            floor = np.finfo(float).eps * np.abs(fn(knots)).max() * h
-            if cell_tol < floor:
-                note = (
-                    f"; abs_tol = {tol.abs_tol:.3g} allows {cell_tol:.2g} per table cell, "
-                    f"below the rounding floor of doubles ({floor:.2g}), and must be raised"
-                )
-        where = f"velocity profile g = {to_text(g)} on [{lo:.6g}, {hi:.6g}]"
-        exc.args = (f"{where}: {exc}{note}",)
+        exc.args = (f"velocity profile g = {to_text(g)} on [{lo:.6g}, {hi:.6g}]: {exc}",)
         raise
+    return knots, G, np.ascontiguousarray(C.T)
 
 
 def g_integral(
@@ -170,13 +146,13 @@ def g_integral(
     tol: Tolerance = Tolerance(),
 ) -> float:
     """Signed definite integral of g, antisymmetric under swapping the limits:
-    the sum of the antiderivative table's cells over [lower, upper], so within
-    abs_tol / 2."""
+    the sum of the cells of a velocity table over [lower, upper], so within
+    abs_tol plus rounding, with the table's error messages."""
     sign = 1.0
     if upper < lower:
         lower, upper, sign = upper, lower, -1.0
-    _, cells = _integrate_cells(g, lower, upper, tol)
-    return sign * float(cells.sum())
+    _, G, _ = _velocity_table(g, lower, upper, tol)
+    return sign * float(G[-1])
 
 
 # --- problem statement and solutions -----------------------------------------
@@ -286,45 +262,23 @@ class ClosedFormSolution:
     __call__ = evaluate
 
     @functools.cached_property
-    def _quartic_table(self) -> tuple[np.ndarray, ...]:
-        """The velocity table: knots spanning the scaled argument range, G,
-        the integral of g from the first knot to each knot, and the accepted
-        intervals of the cells' quadrature sorted by left end a: a, the width
-        w, A(a), and the coefficients c_1..c_5 of the integral of the
-        interval's quartic Q from a to a + r w/4, sum_p c_p r^p for r in
-        [0, 4]."""
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The velocity table (knots, G, C) over the scaled argument range."""
         prob = self.problem
-        accepted = []
-        knots, cells = _integrate_cells(prob.g, *prob.scaled_argument_range(), self.tol, accepted)
-        G = np.concatenate([[0.0], np.cumsum(cells)])
-        cell, a, b, f, boole = (np.concatenate(part, axis=-1) for part in zip(*accepted))
-        order = np.argsort(a, kind="stable")
-        cell, a, w, f, boole = cell[order], a[order], (b - a)[order], f[:, order], boole[order]
-        # A(a) = G at the cell's knot plus the intervals before a in the cell,
-        # a difference of one running sum over all intervals
-        before = np.concatenate([[0.0], np.cumsum(boole)[:-1]])
-        start = G[cell] + (before - before[np.searchsorted(cell, cell)])
-        # Newton's forward differences of the node values give Q(r), r = 0..4
-        d1, d2, d3, d4 = (np.diff(f, k, axis=0)[0] for k in (1, 2, 3, 4))
-        coef = np.stack(
-            (f[0], d1 / 2 - d2 / 4 + d3 / 6 - d4 / 8, (d2 - d3) / 6 + 11 * d4 / 72,
-             d3 / 24 - d4 / 16, d4 / 120),
-            axis=-1,
-        )
-        return knots, G, a, w, start, 0.25 * w[:, None] * coef
+        return _velocity_table(prob.g, *prob.scaled_argument_range(), self.tol)
 
     @property
     def _antiderivative_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Knots spanning the scaled argument range and G, the integral of g
         from the first knot to each knot."""
-        return self._quartic_table[:2]
+        return self._table[:2]
 
     def _antiderivative(self, y: np.ndarray) -> np.ndarray:
         """Integral of g from the first knot to each y, read from the table:
-        A at the left end of the accepted interval holding y plus the integral
-        of its quartic up to y; see the module docstring.  Raises DomainError
-        unless every y lies in the table's range, the scaled argument range."""
-        knots, _, a, w, start, coef = self._quartic_table
+        G at the knot left of y plus its cell's integrated series at y; see
+        the module docstring.  Raises DomainError unless every y lies in the
+        table's range, the scaled argument range."""
+        knots, G, C = self._table
         if not np.all((y >= knots[0]) & (y <= knots[-1])):  # NaN fails too
             prob = self.problem
             raise DomainError(
@@ -332,10 +286,14 @@ class ClosedFormSolution:
                 f"[{knots[0]:.6g}, {knots[-1]:.6g}]; a solution is defined on "
                 f"[0, x_max] x [0, t_max] = [0, {prob.x_max:.6g}] x [0, {prob.t_max:.6g}]"
             )
-        j = np.searchsorted(a, y, side="right") - 1
-        r = 4.0 * (y - a[j]) / w[j]
-        c1, c2, c3, c4, c5 = coef[j].T
-        return start[j] + r * (c1 + r * (c2 + r * (c3 + r * (c4 + r * c5))))
+        k = np.minimum(np.searchsorted(knots, y, side="right") - 1, _TABLE_CELLS - 1)
+        s = (y - knots[k]) / (0.5 * (knots[k + 1] - knots[k])) - 1.0
+        # Clenshaw's recurrence for sum_k C_k T_k(s)
+        two_s = 2.0 * s
+        b1 = b2 = 0.0
+        for row in C[:0:-1]:
+            b1, b2 = row[k] + two_s * b1 - b2, b1
+        return G[k] + (C[0][k] + s * b1 - b2)
 
     # the two profile components: u = forward(hi) + backward(lo)
     def forward_profile(self, y: float) -> float:

@@ -390,8 +390,9 @@ class TestSolveCommand:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
-    # at alpha = 0.9 a subdivision node lands on the pole at x = 1, and the
-    # division by zero names g too
+    # at either order the cells at the pole x = 1 fail at the top degree of
+    # the velocity table; a pole on a node would raise a division by zero,
+    # which names g too
     @pytest.mark.parametrize("alpha", [0.8, 0.9])
     def test_pole_in_velocity_profile_exits_3(self, tmp_path, capsys, alpha):
         # the velocity table cannot integrate across the pole at x = 1
@@ -400,6 +401,16 @@ class TestSolveCommand:
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical failure: velocity profile g = (1.0 / (x - 1.0)) on [" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_singular_velocity_profile_exits_3(self, tmp_path, capsys):
+        # 1/|x| near x = 0, finite at every node: no cell is accepted on its
+        # own failing estimate, so the example1 shape exits 3, not 0 with a
+        # wrong field
+        path = write_problem(tmp_path / "p.yaml", alpha=0.9, g='"(x^2+1e-300)^-0.5"')
+        rc = main(["solve", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_NUMERICAL
+        assert "numerical failure: velocity profile g =" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_t_major_ordering(self, tmp_path):
