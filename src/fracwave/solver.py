@@ -17,11 +17,13 @@ that [0, x_max] x [0, t_max] reaches; outside it A raises DomainError:
   interpolated at the Chebyshev-Lobatto points of the first degree in
   _DEGREES that passes the acceptance test below.  Each degree's nodes
   contain the previous one's, and adjacent cells share their knots, so a
-  cell accepted at degree p costs p evaluations of g.  The interpolant's
-  integral is exact: an integrated Chebyshev series (Battles & Trefethen
-  2004, SIAM J. Sci. Comput. 25; Trefethen 2013, Approximation Theory and
-  Approximation Practice, ch. 19).  G[k] is the integral from the first knot
-  to knot k.
+  cell accepted at degree p costs p evaluations of g.  Coefficients come
+  from the DCT-I matrix; chebint(..., lbnd=-1) integrates the interpolant
+  exactly from s = -1 (Battles & Trefethen 2004, SIAM J. Sci. Comput. 25;
+  Trefethen 2013, Approximation Theory and Approximation Practice, ch. 19).
+  G[k] is the integral from the first knot to knot k.  The DCT and the
+  Clenshaw read stay hand-written: chebfit, a least-squares fit, took 30
+  times as long per rung, and chebval twice as long per read.
 - A(y) = G[k] + the integrated series of cell k, summed at y by Clenshaw's
   recurrence: a search and a few multiply-adds per point, with no
   evaluation of g.  Each value depends on its own y and the fixed table
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 from typing import Literal as TypingLiteral
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint
 
 from .core import DomainError, FractionalOrder, Tolerance, as_order
 from .expr import EvaluationError, Expression, evaluate, to_text
@@ -85,7 +88,7 @@ def _velocity_table(
         floor = eps * h * np.abs(at_knots).max()
         if tol.abs_tol < floor:
             raise QuadratureError(
-                f"adaptive quadrature refused abs_tol = {tol.abs_tol:.3g}: it lies below "
+                f"Chebyshev cell rule refused abs_tol = {tol.abs_tol:.3g}: it lies below "
                 f"the rounding floor of doubles, eps h max|g at the knots| = {floor:.2g}"
             )
         C = np.zeros((_TABLE_CELLS, _DEGREES[-1] + 2))
@@ -110,29 +113,21 @@ def _velocity_table(
                 2.0 * h * np.maximum(np.abs(a[:, p - 1]), np.abs(a[:, p])) / p
                 <= tol.abs_tol / (_TABLE_CELLS + 2) + eps * h * np.abs(values).max(axis=1)
             )
-            # integral from -1: C_k = (a_(k-1) - a_(k+1)) / 2k with a_0 doubled,
-            # and C_0 makes the series 0 at s = -1
-            b = np.zeros((np.count_nonzero(ok), p + 3))
-            b[:, :p + 1] = a[ok]
-            b[:, 0] *= 2.0
-            k = np.arange(1, p + 2)
-            integrated = (b[:, :-2] - b[:, 2:]) / (2.0 * k)
-            C[pending[ok], 1:p + 2] = integrated
-            C[pending[ok], 0] = -(integrated * (-1.0) ** k).sum(axis=1)
+            C[pending[ok], :p + 2] = chebint(a[ok], lbnd=-1.0, axis=1)
             pending, values = pending[~ok], values[~ok]
             if not pending.size:
                 break
         else:
             cell = pending[0]
             raise QuadratureError(
-                f"adaptive quadrature did not converge at degree {_DEGREES[-1]} on "
+                f"Chebyshev cell rule did not converge at degree {_DEGREES[-1]} on "
                 f"{pending.size} of {_TABLE_CELLS} cells, the first cell {cell}, "
                 f"[{knots[cell]:.6g}, {knots[cell + 1]:.6g}]"
             )
         C = half[:, None] * C[:, :p + 2]  # p: the top degree accepted
         G = np.concatenate([[0.0], np.cumsum(C.sum(axis=1))])  # T_k(1) = 1
         if not np.all(np.isfinite(G)):
-            raise QuadratureError("adaptive quadrature produced a non-finite result")
+            raise QuadratureError("Chebyshev cell rule produced a non-finite result")
     except (QuadratureError, EvaluationError) as exc:
         exc.args = (f"velocity profile g = {to_text(g)} on [{lo:.6g}, {hi:.6g}]: {exc}",)
         raise
@@ -266,12 +261,6 @@ class ClosedFormSolution:
         """The velocity table (knots, G, C) over the scaled argument range."""
         prob = self.problem
         return _velocity_table(prob.g, *prob.scaled_argument_range(), self.tol)
-
-    @property
-    def _antiderivative_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Knots spanning the scaled argument range and G, the integral of g
-        from the first knot to each knot."""
-        return self._table[:2]
 
     def _antiderivative(self, y: np.ndarray) -> np.ndarray:
         """Integral of g from the first knot to each y, read from the table:

@@ -619,6 +619,18 @@ class TestSweepCommand:
         assert rc == EXIT_INPUT
         assert "outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas, named", [
+        ("0.1234567,0.1234568", "alphas 0.1234567 and 0.1234568 both write alpha_0.123457.csv"),
+        ("0.5,0.5", "alphas 0.5 and 0.5 both write alpha_0.5.csv"),
+    ])
+    def test_orders_sharing_a_file_exit_2_before_solving(self, tmp_path, capsys, alphas, named):
+        path = write_problem(tmp_path / "p.yaml")
+        outdir = tmp_path / "s"
+        rc = main(["sweep", str(path), "--alphas", alphas, "--out", str(outdir)])
+        assert rc == EXIT_INPUT
+        assert named in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestGridFlagValidation:
     """Non-positive or non-finite --nx/--nt/--tol are input errors on every

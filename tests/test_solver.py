@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from fracwave.core import DomainError, FractionalOrder, Tolerance, gamma
 from fracwave.expr import EvaluationError, evaluate, parse, to_text
@@ -51,8 +51,8 @@ class TestGIntegral:
 
     @pytest.mark.parametrize("abs_tol", [2.5e-7, 1e-6])
     def test_oscillating_profile_against_quadpack(self, abs_tol):
-        # one adaptive panel over the whole interval passes its error test by
-        # chance here and returns 1.6046; the equal cells do not
+        # about four periods of sin(3x): every cell is accepted at the lowest
+        # degree, 4, and their sum still meets abs_tol
         lower, upper = -10.092421148001915, -1.8693702648048198
         got = g_integral(parse("exp(x/4)*sin(3*x)"), lower, upper, Tolerance(abs_tol))
         oracle, _ = integrate.quad(
@@ -377,23 +377,30 @@ class TestToleranceOracle:
         # at most (n - 1) (eps / 2) sum|terms| (Higham 2002, Accuracy and
         # Stability of Numerical Algorithms, ch. 4), and each value reads the
         # table twice, so 1024 cells add at most 1024 eps sum|cells|.
-        _, table = sol._antiderivative_table
+        _, table = sol._table[:2]
         rounding = solver._TABLE_CELLS * np.finfo(float).eps * np.abs(np.diff(table)).sum()
         assert np.abs(field.values - exact).max() <= (abs_tol + rounding) / (2.0 * c_a)
 
     @pytest.mark.parametrize("abs_tol", [1e-6, 1e-10, 1e-13])
-    @pytest.mark.parametrize("profile", [rate_profile("sin", 1.0), rate_profile("cos", 2.0)])
+    @pytest.mark.parametrize("profile", [
+        rate_profile("sin", 1.0),
+        rate_profile("cos", 2.0),
+        ("exp(-x^2)", lambda y: 0.5 * math.sqrt(math.pi) * special.erf(y)),
+    ])
     def test_dense_antiderivative_sweep_within_stated_tolerance(self, profile, abs_tol):
         # a 9x9 field can miss an error between its nodes: about 2e5 arguments
-        # fall inside nearly every accepted interval, each differenced against
-        # one from the other end of the range
+        # fall inside nearly every cell, each differenced against one from the
+        # other end of the range.  The cells of sin and cos 2x take one degree
+        # (all but 3 of sin's at 1e-10); below 1e-6 those of exp(-x^2) split
+        # between degrees 4 and 8, so each rung's cells must land in their own
+        # rows of C
         text, antiderivative = profile
         prob = problem(0.8, c=1.3, f="0", g=text, x_max=6.0, t_max=2.0)
         sol = solve_dalembert(prob, Tolerance(abs_tol))
         y = np.linspace(*prob.scaled_argument_range(), 200_001)
         got = sol._antiderivative(y) - sol._antiderivative(y[::-1])
         exact = antiderivative(y) - antiderivative(y[::-1])
-        _, table = sol._antiderivative_table
+        _, table = sol._table[:2]
         rounding = solver._TABLE_CELLS * np.finfo(float).eps * np.abs(np.diff(table)).sum()
         assert np.abs(got - exact).max() <= abs_tol + rounding
 
@@ -490,7 +497,7 @@ class TestAntiderivativeTable:
         return lo, hi
 
     def test_knots_span_scaled_argument_range(self):
-        knots, table = self.SOL._antiderivative_table
+        knots, table = self.SOL._table[:2]
         assert knots.tobytes() == self.KNOTS.tobytes()
         assert table[0] == 0.0 and table.shape == knots.shape
 
@@ -600,7 +607,7 @@ class TestAntiderivativeTable:
         # the table covers the whole range, so even a zero-width interval
         # fails, and the error names the profile and the range
         lo, hi = prob.scaled_argument_range()
-        named = re.escape(f"g = (1.0 / (x - 1.0)) on [{lo:.6g}, {hi:.6g}]: adaptive quadrature")
+        named = re.escape(f"g = (1.0 / (x - 1.0)) on [{lo:.6g}, {hi:.6g}]: Chebyshev cell rule")
         with pytest.raises(QuadratureError, match=named):
             solve_dalembert(prob).evaluate(5.0, 0.0)
         with pytest.raises(QuadratureError, match=named):
@@ -614,7 +621,7 @@ class TestAntiderivativeTable:
         prob = problem(0.9, g=g, x_max=2 * math.pi, t_max=2 * math.pi)
         lo, hi = prob.scaled_argument_range()
         named = re.escape(f"velocity profile g = {to_text(prob.g)} on [{lo:.6g}, {hi:.6g}]: ")
-        unconverged = r"adaptive quadrature did not converge .* cell \d+, \["
+        unconverged = r"Chebyshev cell rule did not converge .* cell \d+, \["
         with pytest.raises(QuadratureError, match=named + unconverged):
             solve_dalembert(prob).evaluate(1.0, 1.0)
 
@@ -629,7 +636,7 @@ class TestAntiderivativeTable:
             return evaluate(expr, value)
 
         monkeypatch.setattr(solver, "evaluate", counting)
-        refused = r"velocity profile g = .*: adaptive quadrature.*rounding floor"
+        refused = r"velocity profile g = .*: Chebyshev cell rule refused.*rounding floor"
         with pytest.raises(QuadratureError, match=refused):
             sol.evaluate(1.0, 1.0)
         assert sum(points) == solver._TABLE_CELLS + 1
@@ -647,6 +654,6 @@ class TestAntiderivativeTable:
         xp, tp = prob.scaled_coords(xx, tt)
         c_a = prob.wave_scale
         exact = (antiderivative(xp + c_a * tp) - antiderivative(xp - c_a * tp)) / (2.0 * c_a)
-        _, table = sol._antiderivative_table
+        _, table = sol._table[:2]
         rounding = solver._TABLE_CELLS * np.finfo(float).eps * np.abs(np.diff(table)).sum()
         assert np.abs(field.values - exact).max() <= (abs_tol + rounding) / (2.0 * c_a)
