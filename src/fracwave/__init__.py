@@ -5,6 +5,7 @@ equations on scaled coordinates, plus the numerical machinery to verify them
 from .core import (
     DomainError,
     FractionalOrder,
+    QuadratureError,
     Tolerance,
     as_order,
     euler_power_coefficient,
@@ -13,7 +14,6 @@ from .core import (
 from .expr import EvaluationError, Expression, ParseError, evaluate, parse, to_text
 from .fracops import (
     QuadratureConfig,
-    QuadratureError,
     Samples1D,
     caputo_derivative,
     integral_dx_alpha,
@@ -48,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "FractionalOrder",
+    "QuadratureError",
     "Tolerance",
     "as_order",
     "euler_power_coefficient",
@@ -59,7 +60,6 @@ __all__ = [
     "parse",
     "to_text",
     "QuadratureConfig",
-    "QuadratureError",
     "Samples1D",
     "caputo_derivative",
     "integral_dx_alpha",

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import DomainError, FractionalOrder, Tolerance
+from .core import DomainError, FractionalOrder, QuadratureError, Tolerance
 from .expr import EvaluationError, ParseError, parse
-from .fracops import QuadratureError
 from .solver import (
     MIN_GRID_POINTS,
     ClosedFormSolution,
@@ -31,7 +30,10 @@ from .solver import (
     solve_first_order,
 )
 from .verify import (
+    EXAMPLE_G,
     MIN_RESIDUAL_CELLS,
+    RESIDUAL_BASE_CELLS,
+    WORKED_EXAMPLES,
     RouteReport,
     check_initial_conditions,
     compare_candidate_forms,
@@ -255,7 +257,7 @@ def _override_tol(pf: ProblemFile, tol: float | None) -> ProblemFile:
 
 def cmd_verify(args) -> int:
     pf = _override_tol(load_problem_file(args.problem), args.tol)
-    base_nx, base_nt = _grid(args, 64, 64)
+    base_nx, base_nt = _grid(args, RESIDUAL_BASE_CELLS, RESIDUAL_BASE_CELLS)
     report: dict = {"schema_version": SCHEMA_VERSION, "problem": str(args.problem),
                     "alpha": pf.problem.alpha, "equation": pf.equation}
     text = [f"verification of {args.problem} (alpha = {pf.problem.alpha}, {pf.equation})"]
@@ -290,21 +292,25 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+def _order_csv_name(prefix: str, alpha: float) -> str:
+    return f"{prefix}{alpha:g}.csv"
+
+
 def _write_order_fields(pf: ProblemFile, alphas, outdir: Path, prefix: str) -> None:
-    """Solve pf at each order on its grid; write outdir / f"{prefix}{alpha:g}.csv"."""
+    """Solve pf at each order on its grid; write outdir / _order_csv_name(prefix, alpha)."""
     outdir.mkdir(parents=True, exist_ok=True)
     for alpha in alphas:
         sub = replace(pf, problem=replace(pf.problem, order=FractionalOrder(alpha)))
         field = evaluate_field(_solve(sub), pf.nx, pf.nt)
-        write_field_csv(field, outdir / f"{prefix}{alpha:g}.csv")
+        write_field_csv(field, outdir / _order_csv_name(prefix, alpha))
 
 
 def cmd_figures(args) -> int:
     tol = Tolerance(args.tol if args.tol is not None else 1e-12)
     nx, nt = _grid(args, 65, 65)
-    for example, f_text in ((1, "x^2"), (2, "0")):  # the order is set per field
-        problem = WaveProblem(FractionalOrder(FIGURE_ALPHAS[0]), 1.0, parse(f_text),
-                              parse("sin(x)"), 2.0 * math.pi, 2.0 * math.pi)
+    for example, f in enumerate(WORKED_EXAMPLES, start=1):  # the order is set per field
+        problem = WaveProblem(FractionalOrder(FIGURE_ALPHAS[0]), 1.0, f, EXAMPLE_G,
+                              2.0 * math.pi, 2.0 * math.pi)
         pf = ProblemFile(problem, nx, nt, "dalembert", tol)
         _write_order_fields(pf, FIGURE_ALPHAS, Path(args.out), f"example{example}_alpha")
     (Path(args.out) / "README.md").write_text(_FIGURES_README)
@@ -313,7 +319,7 @@ def cmd_figures(args) -> int:
 
 def cmd_sweep(args) -> int:
     pf = load_problem_file(args.problem)
-    files = {}  # file name -> order, named as _write_order_fields names them
+    prefix, files = "alpha_", {}  # files: file name -> order
     for tok in args.alphas.split(","):
         try:
             alpha = float(tok)
@@ -321,13 +327,13 @@ def cmd_sweep(args) -> int:
             raise ProblemFileError(f"alpha list entry {tok!r} is not a number") from None
         if not 0.0 < alpha <= 1.0:
             raise ProblemFileError(f"alpha {alpha} outside (0, 1]")
-        name = f"alpha_{alpha:g}.csv"
+        name = _order_csv_name(prefix, alpha)
         if name in files:
             raise ProblemFileError(f"alphas {files[name]} and {alpha} both write {name}")
         files[name] = alpha
     nx, nt = _grid(args, pf.nx, pf.nt)
     pf = replace(_override_tol(pf, args.tol), nx=nx, nt=nt)
-    _write_order_fields(pf, files.values(), Path(args.out), "alpha_")
+    _write_order_fields(pf, files.values(), Path(args.out), prefix)
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
-"""Shared numeric primitives: the gamma function, validated fractional orders,
-and the tolerance of the velocity integral."""
+"""Shared numeric primitives: the package's two numerical error types, the
+gamma function, validated fractional orders, and the tolerance of the
+velocity integral."""
 
 from __future__ import annotations
 
@@ -9,6 +10,10 @@ from dataclasses import dataclass
 
 class DomainError(ValueError):
     """Raised when an argument lies outside the mathematical domain of an operation."""
+
+
+class QuadratureError(RuntimeError):
+    """A quadrature rule failed to produce a finite, converged result."""
 
 
 def gamma(z: float) -> float:

@@ -16,14 +16,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import DomainError, FractionalOrder, as_order, gamma
+from .core import DomainError, FractionalOrder, QuadratureError, as_order, gamma
 from .expr import Expression, evaluate
 
 IntegrandLike = Union[Expression, Callable]
-
-
-class QuadratureError(RuntimeError):
-    """A quadrature rule failed to produce a finite, converged result."""
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,8 @@ from typing import Literal as TypingLiteral
 import numpy as np
 from numpy.polynomial.chebyshev import chebint
 
-from .core import DomainError, FractionalOrder, Tolerance, as_order
+from .core import DomainError, FractionalOrder, QuadratureError, Tolerance, as_order
 from .expr import EvaluationError, Expression, evaluate, to_text
-from .fracops import QuadratureError
 from .transform import fractal_scale
 
 _CHUNK = 4096  # grid points per evaluation batch; bounds memory, results do not depend on it

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DomainError
-from .expr import Func, Literal, Pow, Var, evaluate
+from .expr import evaluate, parse
 from .fracops import QuadratureConfig, grid_operator_matrix, jumarie_derivative
 from .solver import (
     ClosedFormSolution,
@@ -31,6 +31,7 @@ from .transform import fractal_scale
 
 RESIDUAL_FLOOR = 1e-8  # below this, refinement levels count as converged
 MIN_RESIDUAL_CELLS = 32  # per axis, for the coarsest level of pde_residual
+RESIDUAL_BASE_CELLS = 64  # per axis, the coarsest level that fracwave verify studies
 COLLAR_CELLS = 2  # residual norms skip this many cells at the x = 0 and t = 0 edges
 
 
@@ -55,6 +56,13 @@ IC_NX = 33  # points along t = 0 at which both initial conditions are checked
 POSITION_TOL = 1e-10
 VELOCITY_TOL = 1e-3
 VELOCITY_CONFIG = QuadratureConfig(512)  # panels of the t = 0 velocity window
+
+
+def position_error(problem: WaveProblem, sol) -> float:
+    """Largest |u(x, 0) - f(X')| over IC_NX points spanning [0, x_max]."""
+    xs = np.linspace(0.0, problem.x_max, IC_NX)
+    xp, _ = problem.scaled_coords(xs, 0.0)
+    return float(np.abs(sol.evaluate_many(xs, np.zeros_like(xs)) - evaluate(problem.f, xp)).max())
 
 
 @dataclass(frozen=True)
@@ -96,22 +104,15 @@ def check_initial_conditions(problem: WaveProblem, sol) -> InitialConditionRepor
     amplified by h^-alpha, hence the looser VELOCITY_TOL; the failure signals
     it must detect are order one.
     """
-    xs = np.linspace(0.0, problem.x_max, IC_NX)
-    xp, _ = problem.scaled_coords(xs, np.zeros_like(xs))
-    f_target = evaluate(problem.f, xp)
-    u0 = sol.evaluate_many(xs, np.zeros_like(xs))
-    pos_err = np.abs(u0 - f_target)
-    position = (
-        float(pos_err.max()),
-        POSITION_TOL,
-        0.0,  # position_rel_tol: the bound is absolute
-        bool(np.all(pos_err <= POSITION_TOL)),
-    )
+    pos_err = position_error(problem, sol)
+    # position_rel_tol is 0.0: the bound is absolute
+    position = (pos_err, POSITION_TOL, 0.0, pos_err <= POSITION_TOL)
 
     if isinstance(sol, ClosedFormSolution) and sol.kind == "first_order":
         return InitialConditionReport(IC_NX, *position, None, None, True)
 
-    g_target = evaluate(problem.g, xp)
+    xs = np.linspace(0.0, problem.x_max, IC_NX)
+    g_target = evaluate(problem.g, problem.scaled_coords(xs, 0.0)[0])
     # one row of window samples per x, copied to C order so that the kernel
     # matmul sums each row in the same order as a contiguous (nx, n) array
     vel = jumarie_derivative(
@@ -384,26 +385,19 @@ class FormComparison:
                 f"    note: {self.note}"]
 
 
-def _is_sin_of_x(expr) -> bool:
-    return expr == Func("sin", Var())
-
-
-def _example_f_part(problem: WaveProblem):
-    """Closed-form displacement contribution for the two worked example shapes
-    (f identically 0, or f the squared profile); None when unrecognized."""
-    if problem.f == Literal(0.0):
-        return lambda xp, ctp: np.zeros_like(xp)
-    if problem.f == Pow(Var(), 2.0):
-        return lambda xp, ctp: xp ** 2 + ctp ** 2
-    return None
+EXAMPLE_G = parse("sin(x)")  # the velocity profile of both worked examples
+# the worked examples, in the paper's order, keyed by their displacement
+# profile f: f's part of the product closed forms, at X' and c^a T'
+WORKED_EXAMPLES = {
+    parse("x^2"): lambda xp, ctp: xp ** 2 + ctp ** 2,
+    parse("0"): lambda xp, ctp: np.zeros_like(xp),
+}
 
 
 def candidate_product_forms(problem: WaveProblem) -> dict[str, CallableSolution] | None:
-    """For problems with g = sin(x) and f in {0, x^2}, return the two
-    candidate product closed forms for u."""
-    if not _is_sin_of_x(problem.g):
-        return None
-    f_part = _example_f_part(problem)
+    """For a problem of a worked example's shape, the two candidate product
+    closed forms for u; None for any other problem."""
+    f_part = WORKED_EXAMPLES.get(problem.f) if problem.g == EXAMPLE_G else None
     if f_part is None:
         return None
     c_a = problem.wave_scale
@@ -418,24 +412,20 @@ def candidate_product_forms(problem: WaveProblem) -> dict[str, CallableSolution]
     return {"sin_product": make(np.sin), "cos_product": make(np.cos)}
 
 
-FORM_GRID = (33, 9)  # (nx, nt) points of the candidate-form comparison
+FORM_GRID = (IC_NX, 9)  # (nx, nt) points of the candidate-form comparison
 
 
 def compare_candidate_forms(problem: WaveProblem, sol: ClosedFormSolution) -> FormComparison | None:
-    """Evaluate both candidate forms against the initial condition and against
-    the quadrature-truth solution on the coarse FORM_GRID."""
+    """Evaluate both candidate forms against the initial condition, by
+    position_error, and against the quadrature-truth solution on the coarse
+    FORM_GRID."""
     forms = candidate_product_forms(problem)
     if forms is None:
         return None
     xs = np.linspace(0.0, problem.x_max, FORM_GRID[0])
     ts = np.linspace(0.0, problem.t_max, FORM_GRID[1])
-    xp, _ = problem.scaled_coords(xs, 0.0)
-    f_target = evaluate(problem.f, xp)
     u_truth = evaluate_grid(sol, xs, ts)
-    ic: dict[str, float] = {}
-    gaps: dict[str, float] = {}
-    for name, form in forms.items():
-        u = evaluate_grid(form, xs, ts)
-        ic[name] = float(np.abs(u[0] - f_target).max())  # row 0 is t = 0
-        gaps[name] = float(np.abs(u - u_truth).max())
+    ic = {name: position_error(problem, form) for name, form in forms.items()}
+    gaps = {name: float(np.abs(evaluate_grid(form, xs, ts) - u_truth).max())
+            for name, form in forms.items()}
     return FormComparison(tuple(forms), ic, gaps)

@@ -400,9 +400,21 @@ class TestToleranceOracle:
         y = np.linspace(*prob.scaled_argument_range(), 200_001)
         got = sol._antiderivative(y) - sol._antiderivative(y[::-1])
         exact = antiderivative(y) - antiderivative(y[::-1])
-        _, table = sol._table[:2]
-        rounding = solver._TABLE_CELLS * np.finfo(float).eps * np.abs(np.diff(table)).sum()
+        _, table, C = sol._table
+        eps = np.finfo(float).eps
+        rounding = solver._TABLE_CELLS * eps * np.abs(np.diff(table)).sum()
         assert np.abs(got - exact).max() <= abs_tol + rounding
+        # The same bound with its rounding term measured: G against a
+        # math.fsum running sum of the very cells it sums (each value reads
+        # the table twice), plus a few ulps of |G| for the two reads, their
+        # difference and the reference.  The allowance stays below 10 abs_tol,
+        # so a read that misses abs_tol by 10x fails here, at every tolerance
+        cells = np.ascontiguousarray(C.T).sum(axis=1)
+        assert np.array_equal(np.cumsum(cells), table[1:])
+        running = np.array([math.fsum(cells[:k]) for k in range(cells.size + 1)])
+        allowance = abs_tol + 2.0 * np.abs(table - running).max() + 4.0 * eps * np.abs(table).max()
+        assert allowance < 10.0 * abs_tol
+        assert np.abs(got - exact).max() <= allowance
 
 
 class TestEvaluateGrid:

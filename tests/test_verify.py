@@ -107,6 +107,16 @@ class TestCandidateForms:
         assert cmp_report.gap_vs_quadrature["sin_product"] <= 1e-9
         assert cmp_report.gap_vs_quadrature["cos_product"] > 0.5
 
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    @pytest.mark.parametrize("example", [1, 2])
+    def test_ic_error_is_the_position_check(self, example, alpha):
+        # both take u(x, 0) - f(X') from one routine on the same IC_NX points
+        prob = example_problem(alpha, example=example)
+        cmp_report = compare_candidate_forms(prob, solve_dalembert(prob))
+        for name, form in candidate_product_forms(prob).items():
+            position = check_initial_conditions(prob, form).position_max_error
+            assert cmp_report.ic_max_error[name].hex() == position.hex()
+
     def test_example1_shape_recognized(self):
         prob = example_problem(0.7, example=1)
         forms = candidate_product_forms(prob)
