@@ -26,8 +26,6 @@ from .solver import (
     Field2D,
     WaveProblem,
     evaluate_field,
-    solve_dalembert,
-    solve_first_order,
 )
 from .verify import (
     EXAMPLE_G,
@@ -54,8 +52,9 @@ _OPTIONAL_KEYS = ("equation", "quadrature")
 _QUAD_KEYS = ("abs_tol",)
 
 FIGURE_ALPHAS = (0.7, 0.8, 0.9, 1.0)
+FIGURES_TOL = 1e-12  # velocity-integral abs_tol of `figures` unless --tol is given
 
-_FIGURES_README = """\
+_FIGURES_README = f"""\
 Wave-equation example datasets
 ==============================
 
@@ -68,7 +67,7 @@ x_max = t_max = 2*pi):
 
 The velocity integral is read from a table of Chebyshev interpolants of g
 on 1,024 equal cells, integrated exactly and accepted within the tolerance
-(1e-12 unless --tol is given); it is the ground truth here.  For example 2
+({FIGURES_TOL:g} unless --tol is given); it is the ground truth here.  For example 2
 it agrees with the product form
 
     u = (1/c^a) * sin(X') * sin(c^a * T'),   X' = x^a/gamma(1+a), T' = t^a/gamma(1+a)
@@ -196,9 +195,8 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 
 
 def _solve(pf: ProblemFile) -> ClosedFormSolution:
-    if pf.equation == "first_order":
-        return solve_first_order(pf.problem)
-    return solve_dalembert(pf.problem, pf.tol)
+    # the equation names the solution's kind; a first_order one reads no tol
+    return ClosedFormSolution(pf.equation, pf.problem, pf.tol)
 
 
 def write_field_csv(field: Field2D, path: str | Path) -> None:
@@ -306,7 +304,7 @@ def _write_order_fields(pf: ProblemFile, alphas, outdir: Path, prefix: str) -> N
 
 
 def cmd_figures(args) -> int:
-    tol = Tolerance(args.tol if args.tol is not None else 1e-12)
+    tol = Tolerance(args.tol if args.tol is not None else FIGURES_TOL)
     nx, nt = _grid(args, 65, 65)
     for example, f in enumerate(WORKED_EXAMPLES, start=1):  # the order is set per field
         problem = WaveProblem(FractionalOrder(FIGURE_ALPHAS[0]), 1.0, f, EXAMPLE_G,

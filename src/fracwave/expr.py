@@ -150,7 +150,11 @@ class _Parser:
         base = self.parse_atom()
         caret = self.position()
         if self.accept("^"):
+            start = self.pos
             exponent_expr = self.parse_unary()  # right associative: x^2^3 = x^(2^3)
+            # constant: no token of the exponent is a name (x or a function)
+            if any(kind == "name" for kind, _, _ in self.tokens[start:self.pos]):
+                raise ParseError("exponent must be a constant expression", caret)
             return Pow(base, _fold_constant(exponent_expr, caret))
         return base
 
@@ -178,24 +182,9 @@ class _Parser:
         )
 
 
-def _is_constant(expr: Expression) -> bool:
-    """True for arithmetic on literals alone: no x and no function."""
-    if isinstance(expr, Literal):
-        return True
-    if isinstance(expr, Neg):
-        return _is_constant(expr.operand)
-    if isinstance(expr, BinOp):
-        return _is_constant(expr.left) and _is_constant(expr.right)
-    if isinstance(expr, Pow):
-        return _is_constant(expr.base)
-    return False
-
-
 def _fold_constant(expr: Expression, position: int) -> float:
     """Reduce a constant sub-expression (an exponent) to a finite float,
     through the evaluator and its finite checks."""
-    if not _is_constant(expr):
-        raise ParseError("exponent must be a constant expression", position)
     try:
         # a literal such as 1e999 is already inf, so the result is checked too
         return _check_finite(evaluate(expr, 0.0), expr, "non-finite value")

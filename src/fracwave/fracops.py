@@ -152,9 +152,24 @@ def rl_integral(
     return _singular_integral(fn, alpha, x, cfg.n_panels) / gamma(alpha)
 
 
-def _rl_derivative_fn(fn: Callable, alpha: float, x: float, cfg: QuadratureConfig):
+def rl_derivative(
+    f: IntegrandLike,
+    order: FractionalOrder | float,
+    x: float,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> float | np.ndarray:
+    """Riemann-Liouville derivative of order alpha in (0, 1]:
+    d/dx of the (1-alpha) R-L integral, the outer derivative by differencing.
+
+    Maps constants to K * x^(-alpha) / gamma(1-alpha), not to zero.
+
+    A callable f may return samples along its last axis, one row per series;
+    the result then holds one derivative per row (a float for 1-D samples).
+    """
+    alpha = as_order(order).alpha
     if x < 0.0:
         raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
+    fn = _as_callable(f)
     if alpha == 1.0:
         w = fn
     else:
@@ -168,21 +183,6 @@ def _rl_derivative_fn(fn: Callable, alpha: float, x: float, cfg: QuadratureConfi
     return _float_if_scalar(_fn_derivative_on(w, np.array([x]), alpha)[..., 0])
 
 
-def rl_derivative(
-    f: IntegrandLike,
-    order: FractionalOrder | float,
-    x: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Riemann-Liouville derivative of order alpha in (0, 1]:
-    d/dx of the (1-alpha) R-L integral, the outer derivative by differencing.
-
-    Maps constants to K * x^(-alpha) / gamma(1-alpha), not to zero.
-    """
-    alpha = as_order(order).alpha
-    return _rl_derivative_fn(_as_callable(f), alpha, x, cfg)
-
-
 def jumarie_derivative(
     f: IntegrandLike,
     order: FractionalOrder | float,
@@ -191,14 +191,12 @@ def jumarie_derivative(
 ) -> float | np.ndarray:
     """Jumarie (shifted Riemann-Liouville) derivative: the R-L derivative of
     f - f(0).  Annihilates constants; for smooth f it agrees with Caputo.
-
-    A callable f may return samples along its last axis, one row per series;
-    the result then holds one derivative per row (a float for 1-D samples).
+    Rows of samples are handled as in rl_derivative.
     """
     alpha = as_order(order).alpha
     fn = _as_callable(f)
     f0 = np.asarray(fn(np.zeros(1)), dtype=float)
-    return _rl_derivative_fn(lambda xs: fn(xs) - f0, alpha, x, cfg)
+    return rl_derivative(lambda xs: fn(xs) - f0, alpha, x, cfg)
 
 
 def caputo_derivative(
@@ -210,7 +208,7 @@ def caputo_derivative(
     """Caputo derivative: the (1-alpha) R-L integral of f', with f' obtained by
     differencing f (this package's expressions carry no symbolic derivative).
 
-    Rows of samples are handled as in jumarie_derivative, at every order."""
+    Rows of samples are handled as in rl_derivative, at every order."""
     alpha = as_order(order).alpha
     if x < 0.0:
         raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")

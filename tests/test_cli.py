@@ -27,6 +27,7 @@ from fracwave.solver import (
     WaveProblem,
     evaluate_field,
     solve_dalembert,
+    solve_first_order,
 )
 from fracwave.verify import IC_NX, MIN_RESIDUAL_CELLS, POSITION_TOL, VELOCITY_TOL
 
@@ -356,6 +357,20 @@ class TestSolveCommand:
         write_field_csv(field, golden)
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_first_order_field_reads_no_tol(self, tmp_path):
+        # a first-order solution has no velocity integral, so --tol, even one
+        # far below any rounding floor, leaves its field bit for bit alone
+        path = SHIPPED[0].parent / "first_order.yaml"
+        default, tight = tmp_path / "default.csv", tmp_path / "tight.csv"
+        assert main(["solve", str(path), "--out", str(default)]) == EXIT_OK
+        assert main(["solve", str(path), "--out", str(tight), "--tol", "1e-300"]) == EXIT_OK
+        assert tight.read_bytes() == default.read_bytes()
+        # and the file's equation names the kind: the library's first-order field
+        pf = load_problem_file(path)
+        golden = tmp_path / "lib.csv"
+        write_field_csv(evaluate_field(solve_first_order(pf.problem), pf.nx, pf.nt), golden)
+        assert default.read_bytes() == golden.read_bytes()
+
     def test_runs_are_byte_identical(self, tmp_path):
         path = write_problem(tmp_path / "p.yaml")
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -435,6 +450,19 @@ class TestVerifyCommand:
         assert report["route_equivalence"]["applicable"]
         assert report["route_equivalence"]["max_deviation"] <= 1e-12
         assert "route equivalence" in capsys.readouterr().out
+
+    def test_first_order_report_reads_no_abs_tol(self, tmp_path, capsys):
+        reports = []
+        for name, quadrature in (("default", None), ("loose", "{abs_tol: 1.0e-3}")):
+            path = write_problem(tmp_path / f"{name}.yaml", equation="first_order", alpha=0.5,
+                                 f='"sin(x)"', g='"0"', quadrature=quadrature)
+            out = tmp_path / f"{name}.json"
+            assert main(["verify", str(path), "--out", str(out)]) == EXIT_OK
+            report = json.loads(out.read_text())
+            assert report.pop("problem") == str(path)
+            reports.append(report)
+        assert reports[0] == reports[1]
+        capsys.readouterr()
 
     def test_example_problem_passes(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.yaml", alpha=0.9)

@@ -75,8 +75,19 @@ class TestParse:
         assert err.value.position == 2
 
     def test_non_constant_exponent_rejected(self):
-        with pytest.raises(ParseError, match="constant"):
-            parse("2^x")
+        # an exponent holding x or a function is refused at its caret, even
+        # where it would fold to a constant; a nested one at the inner caret
+        cases = [
+            ("2^x", 1), ("x^sin(1)", 1), ("x^exp(0)", 1), ("x^-x", 1), ("x^(1 + 0*x)", 1),
+            ("x^(2^x)", 4), ("x^2^x", 3), ("(x+1)^(2*(3-x))", 5),
+        ]
+        for text, position in cases:
+            with pytest.raises(ParseError, match="exponent must be a constant") as err:
+                parse(text)
+            assert err.value.position == position, text
+
+    def test_power_of_constants_in_exponent_folds(self):
+        assert parse("x^(2^-1)") == Pow(Var(), 0.5)
 
     @pytest.mark.parametrize(
         "text", ["x^(1/0)", "x^(10^400)", "x^(0^-1)", "x^((-8)^0.5)", "x^1e999"]

@@ -153,16 +153,20 @@ class TestJumarieDerivative:
             )
 
     def test_bitwise_delegation_to_rl_on_shifted_function(self):
-        # jumarie(f) must equal rl(f - f(0)) through the identical code path
-        for text in ("sin(x) + 2", "x^2 + 5", "exp(-x)"):
-            f = parse(text)
-            f0 = evaluate(f, 0.0)
-            shifted = BinOp("-", f, Literal(f0))
-            for alpha in (0.4, 0.8):
-                for x in (0.6, 1.7):
-                    assert jumarie_derivative(f, alpha, x, CFG) == rl_derivative(
-                        shifted, alpha, x, CFG
-                    )
+        # jumarie(f) must equal rl(f - f(0)) through the identical code path,
+        # at the terminal too, and on rows of samples (the t = 0 probe's call)
+        cfg = QuadratureConfig(512)
+        exprs = [parse(text) for text in ("sin(x) + 2", "x^2 + 5", "exp(-x)")]
+        cases = [(f, BinOp("-", f, Literal(evaluate(f, 0.0))), ()) for f in exprs]
+        for alpha in (0.3, 0.8, 1.0):
+            rows = lambda ts: np.stack([np.sin(ts + 1.0), 3.0 * ts**alpha + 2.0])
+            shifted_rows = lambda ts: rows(ts) - rows(np.zeros(1))
+            for f, shifted, shape in [*cases, (rows, shifted_rows, (2,))]:
+                for x in (0.0, 0.6, 1.7):
+                    jumarie = np.asarray(jumarie_derivative(f, alpha, x, cfg))
+                    rl = np.asarray(rl_derivative(shifted, alpha, x, cfg))
+                    assert jumarie.shape == rl.shape == shape
+                    assert jumarie.tobytes() == rl.tobytes(), (alpha, x)
 
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
     def test_rows_of_samples_match_single_series(self, alpha):
