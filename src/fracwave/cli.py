@@ -115,7 +115,10 @@ def _require_number(raw: dict, key: str) -> float:
                 f" as a string: write {sign}{whole or '0'}.{frac or '0'}e{exp_sign or '+'}{exp}"
             )
         raise ProblemFileError(message)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the range of a double
+        raise ProblemFileError(f"key '{key}' is beyond the range of a double") from None
     if not math.isfinite(value) or value <= 0.0:
         raise ProblemFileError(f"key '{key}' must be a finite positive number, got {value!r}")
     return value
@@ -125,7 +128,8 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     """Parse and fully validate a problem file; raises ProblemFileError with
     an explanatory message on any defect (unknown keys are rejected)."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        # from bytes, so that YAML's reader decodes them and rejects bad ones
+        raw = yaml.safe_load(Path(path).read_bytes())
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -235,27 +239,23 @@ def _check_grid_flags(args) -> None:
         raise ProblemFileError(f"--tol must be positive and finite, got {args.tol!r}")
 
 
-def _grid(args, nx: int, nt: int) -> tuple[int, int]:
-    """Grid sizes from --nx/--nt, falling back to the given defaults."""
-    return (nx if args.nx is None else args.nx, nt if args.nt is None else args.nt)
+def _with_flags(pf: ProblemFile, args) -> ProblemFile:
+    """pf with each of --nx, --nt and --tol that was given in place of its own."""
+    return replace(pf, nx=pf.nx if args.nx is None else args.nx,
+                   nt=pf.nt if args.nt is None else args.nt,
+                   tol=pf.tol if args.tol is None else Tolerance(args.tol))
 
 
 def cmd_solve(args) -> int:
-    pf = _override_tol(load_problem_file(args.problem), args.tol)
-    field = evaluate_field(_solve(pf), *_grid(args, pf.nx, pf.nt))
-    write_field_csv(field, args.out)
+    pf = _with_flags(load_problem_file(args.problem), args)
+    write_field_csv(evaluate_field(_solve(pf), pf.nx, pf.nt), args.out)
     return EXIT_OK
 
 
-def _override_tol(pf: ProblemFile, tol: float | None) -> ProblemFile:
-    if tol is None:
-        return pf
-    return replace(pf, tol=Tolerance(tol))
-
-
 def cmd_verify(args) -> int:
-    pf = _override_tol(load_problem_file(args.problem), args.tol)
-    base_nx, base_nt = _grid(args, RESIDUAL_BASE_CELLS, RESIDUAL_BASE_CELLS)
+    # verify's --nx/--nt count the base cells of the residual study, not grid points
+    pf = load_problem_file(args.problem)
+    pf = _with_flags(replace(pf, nx=RESIDUAL_BASE_CELLS, nt=RESIDUAL_BASE_CELLS), args)
     report: dict = {"schema_version": SCHEMA_VERSION, "problem": str(args.problem),
                     "alpha": pf.problem.alpha, "equation": pf.equation}
     text = [f"verification of {args.problem} (alpha = {pf.problem.alpha}, {pf.equation})"]
@@ -263,7 +263,7 @@ def cmd_verify(args) -> int:
     candidate = args.candidate_form
     if candidate != "quadrature":
         forms = candidate_product_forms(pf.problem)
-        if pf.equation != "dalembert" or forms is None or candidate not in forms:
+        if pf.equation != "dalembert" or forms is None:
             raise ProblemFileError(
                 f"--candidate-form {candidate} requires a d'Alembert problem matching "
                 "one of the worked example shapes"
@@ -274,7 +274,7 @@ def cmd_verify(args) -> int:
 
     checks = {"initial_conditions": check_initial_conditions(pf.problem, subject)}
     if pf.equation == "dalembert":
-        checks["residual"] = pde_residual(pf.problem, subject, base_nx, base_nt)
+        checks["residual"] = pde_residual(pf.problem, subject, pf.nx, pf.nt)
         if (forms_report := compare_candidate_forms(pf.problem, sol)) is not None:
             checks["candidate_forms"] = forms_report
         report["route_equivalence"] = {"applicable": False}
@@ -304,12 +304,10 @@ def _write_order_fields(pf: ProblemFile, alphas, outdir: Path, prefix: str) -> N
 
 
 def cmd_figures(args) -> int:
-    tol = Tolerance(args.tol if args.tol is not None else FIGURES_TOL)
-    nx, nt = _grid(args, 65, 65)
     for example, f in enumerate(WORKED_EXAMPLES, start=1):  # the order is set per field
         problem = WaveProblem(FractionalOrder(FIGURE_ALPHAS[0]), 1.0, f, EXAMPLE_G,
                               2.0 * math.pi, 2.0 * math.pi)
-        pf = ProblemFile(problem, nx, nt, "dalembert", tol)
+        pf = _with_flags(ProblemFile(problem, 65, 65, "dalembert", Tolerance(FIGURES_TOL)), args)
         _write_order_fields(pf, FIGURE_ALPHAS, Path(args.out), f"example{example}_alpha")
     (Path(args.out) / "README.md").write_text(_FIGURES_README)
     return EXIT_OK
@@ -329,9 +327,7 @@ def cmd_sweep(args) -> int:
         if name in files:
             raise ProblemFileError(f"alphas {files[name]} and {alpha} both write {name}")
         files[name] = alpha
-    nx, nt = _grid(args, pf.nx, pf.nt)
-    pf = replace(_override_tol(pf, args.tol), nx=nx, nt=nt)
-    _write_order_fields(pf, files.values(), Path(args.out), prefix)
+    _write_order_fields(_with_flags(pf, args), files.values(), Path(args.out), prefix)
     return EXIT_OK
 
 

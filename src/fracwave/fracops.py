@@ -62,10 +62,13 @@ class Samples1D:
         return self.x0 + self.dx * np.arange(self.values.size)
 
 
-def _as_callable(f: IntegrandLike) -> Callable:
-    if callable(f):
-        return f
-    return lambda x: evaluate(f, x)
+def _operand(f: IntegrandLike, order: FractionalOrder | float, x: float) -> tuple[Callable, float]:
+    """The entry step of every pointwise operator: f as a callable and the
+    order's alpha, once x is known to lie right of the terminal 0."""
+    alpha = as_order(order).alpha
+    if x < 0.0:
+        raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
+    return (f if callable(f) else lambda xs: evaluate(f, xs)), alpha
 
 
 # --- product-integration rule for int_0^u (u - xi)^(mu-1) f(xi) dxi ---------
@@ -145,10 +148,7 @@ def rl_integral(
 ) -> float:
     """Riemann-Liouville integral of order alpha at x >= 0:
     (1/gamma(alpha)) * int_0^x (x - xi)^(alpha-1) f(xi) dxi."""
-    alpha = as_order(order).alpha
-    if x < 0.0:
-        raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
-    fn = _as_callable(f)
+    fn, alpha = _operand(f, order, x)
     return _singular_integral(fn, alpha, x, cfg.n_panels) / gamma(alpha)
 
 
@@ -166,10 +166,7 @@ def rl_derivative(
     A callable f may return samples along its last axis, one row per series;
     the result then holds one derivative per row (a float for 1-D samples).
     """
-    alpha = as_order(order).alpha
-    if x < 0.0:
-        raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
-    fn = _as_callable(f)
+    fn, alpha = _operand(f, order, x)
     if alpha == 1.0:
         w = fn
     else:
@@ -193,8 +190,7 @@ def jumarie_derivative(
     f - f(0).  Annihilates constants; for smooth f it agrees with Caputo.
     Rows of samples are handled as in rl_derivative.
     """
-    alpha = as_order(order).alpha
-    fn = _as_callable(f)
+    fn, alpha = _operand(f, order, x)
     f0 = np.asarray(fn(np.zeros(1)), dtype=float)
     return rl_derivative(lambda xs: fn(xs) - f0, alpha, x, cfg)
 
@@ -209,10 +205,7 @@ def caputo_derivative(
     differencing f (this package's expressions carry no symbolic derivative).
 
     Rows of samples are handled as in rl_derivative, at every order."""
-    alpha = as_order(order).alpha
-    if x < 0.0:
-        raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
-    fn = _as_callable(f)
+    fn, alpha = _operand(f, order, x)
     fprime = lambda nodes: _fn_derivative_on(fn, np.asarray(nodes, dtype=float))
     if alpha == 1.0:
         return _float_if_scalar(fprime(np.array([x]))[..., 0])

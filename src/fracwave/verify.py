@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -322,12 +322,7 @@ def stability_check(
     rounding.
     """
     p1, p2 = problem1, problem2
-    if (
-        p1.alpha != p2.alpha
-        or p1.speed != p2.speed
-        or p1.x_max != p2.x_max
-        or p1.t_max != p2.t_max
-    ):
+    if (p1.alpha, p1.speed, p1.x_max, p1.t_max) != (p2.alpha, p2.speed, p2.x_max, p2.t_max):
         raise DomainError("stability problems must differ only in their profiles f and g")
     lo, hi = p1.scaled_argument_range()
     args = np.linspace(lo, hi, DELTA_SAMPLES)
@@ -370,8 +365,8 @@ class FormComparison:
     """How candidate product closed forms fare against the quadrature solution."""
 
     candidates: tuple[str, ...]
-    ic_max_error: dict[str, float] = field(default_factory=dict)
-    gap_vs_quadrature: dict[str, float] = field(default_factory=dict)
+    ic_max_error: dict[str, float]
+    gap_vs_quadrature: dict[str, float]
     note: str = DISCREPANCY_NOTE
     passed = True  # a finding, not a check: it never fails verify, so it has no failure
 

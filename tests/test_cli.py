@@ -200,6 +200,27 @@ class TestProblemFile:
         assert "overflows a double" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        # a Latin-1 e-acute is not UTF-8: YAML's reader refuses the byte
+        path = write_problem(tmp_path / "p.yaml")
+        path.write_bytes(path.read_bytes().replace(b'"x^2"', b'"x\xe9"'))
+        with pytest.raises(ProblemFileError, match="is not well-formed"):
+            load_problem_file(path)
+        assert main(["solve", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT
+        assert "unacceptable character #x00e9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["alpha", "c", "x_max", "t_max", "abs_tol"])
+    def test_integer_beyond_a_double_exits_2(self, tmp_path, capsys, key):
+        huge = "1" + "0" * 400  # an int to YAML, too large for float()
+        if key == "abs_tol":
+            path = write_problem(tmp_path / "p.yaml", quadrature=f"{{abs_tol: {huge}}}")
+        else:
+            path = write_problem(tmp_path / "p.yaml", **{key: huge})
+        assert main(["solve", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: key '{key}' is beyond the range of a double" in err
+        assert huge not in err
+
     def test_unsigned_exponent_explained(self, tmp_path, capsys):
         # YAML reads 1.0e300 as a string; it stays rejected, with the reason
         path = write_problem(tmp_path / "p.yaml", c="1.0e300")

@@ -79,8 +79,12 @@ class TestRlIntegral:
         assert rl_integral(rows, 0.5, 1.0, CFG).shape == (2,)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(DomainError):
-            rl_integral(parse("1"), 0.5, -1.0, CFG)
+        # every pointwise operator refuses x < 0 before it evaluates f: 1/x
+        # would raise an EvaluationError at f(0)
+        for op in (rl_integral, rl_derivative, jumarie_derivative, caputo_derivative,
+                   integral_dx_alpha):
+            with pytest.raises(DomainError, match="x must be >= 0"):
+                op(parse("1/x"), 0.5, -1.0, CFG)
 
 
 class TestRlDerivative:
