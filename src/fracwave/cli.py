@@ -31,6 +31,7 @@ from .verify import (
     EXAMPLE_G,
     MIN_RESIDUAL_CELLS,
     RESIDUAL_BASE_CELLS,
+    RESIDUAL_LEVELS,
     WORKED_EXAMPLES,
     RouteReport,
     check_initial_conditions,
@@ -53,6 +54,7 @@ _QUAD_KEYS = ("abs_tol",)
 
 FIGURE_ALPHAS = (0.7, 0.8, 0.9, 1.0)
 FIGURES_TOL = 1e-12  # velocity-integral abs_tol of `figures` unless --tol is given
+MAX_GRID_POINTS = 2**24  # values in one array of a command's grid; the README sizes it
 
 _FIGURES_README = f"""\
 Wave-equation example datasets
@@ -240,10 +242,17 @@ def _check_grid_flags(args) -> None:
 
 
 def _with_flags(pf: ProblemFile, args) -> ProblemFile:
-    """pf with each of --nx, --nt and --tol that was given in place of its own."""
-    return replace(pf, nx=pf.nx if args.nx is None else args.nx,
-                   nt=pf.nt if args.nt is None else args.nt,
-                   tol=pf.tol if args.tol is None else Tolerance(args.tol))
+    """pf with the given --nx, --nt and --tol in place of its own; refuses a huge grid."""
+    pf = replace(pf, nx=pf.nx if args.nx is None else args.nx,
+                 nt=pf.nt if args.nt is None else args.nt,
+                 tol=pf.tol if args.tol is None else Tolerance(args.tol))
+    size = pf.nx * pf.nt
+    if args.command == "verify":  # nx, nt count base cells; the operators are square
+        size = (max(pf.nx, pf.nt) * 2 ** (RESIDUAL_LEVELS - 1) + 1) ** 2
+    if size > MAX_GRID_POINTS:
+        raise ProblemFileError(f"grid nx = {pf.nx}, nt = {pf.nt} is too large for "
+                               f"{args.command}: more than {MAX_GRID_POINTS} values per array")
+    return pf
 
 
 def cmd_solve(args) -> int:

@@ -73,6 +73,7 @@ class Func:
 Expression = Union[Literal, Var, Neg, BinOp, Pow, Func]
 
 _FUNCTIONS: dict[str, Callable] = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+MAX_TOKENS = 256  # longest expression accepted: it bounds every recursive walk of the tree
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -98,6 +99,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("end", "", pos))
             return tokens
         lexeme, start = match.group(kind), match.start(kind)
+        if len(tokens) == MAX_TOKENS:
+            raise ParseError(f"expression has more than {MAX_TOKENS} tokens", start)
         if kind == "number":
             try:
                 float(lexeme)

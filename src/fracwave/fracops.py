@@ -1,11 +1,12 @@
-"""Numerical fractional operators with lower terminal 0: the Riemann-Liouville
-integral and derivative, the Caputo derivative, the Jumarie (shifted R-L)
-derivative, the integral against (dx)^alpha, and a gridded Jumarie operator.
+"""Numerical fractional operators with lower terminal 0.
 
-Weakly singular convolutions are evaluated by product integration against the
-piecewise-linear interpolant of the integrand (the L1-style scheme): the kernel
-moments are computed analytically per panel, so the rule is exact whenever the
-integrand is piecewise linear on the panel grid.
+rl_integral is the one product rule: the Riemann-Liouville integral against
+the piecewise-linear interpolant of the integrand (the L1-style scheme), its
+kernel moments analytic per panel, so exact for piecewise-linear integrands.
+Each other pointwise operator is built from it as its definition reads: the
+R-L derivative d/dx I^(1-alpha) f, the Caputo derivative I^(1-alpha) f', the
+Jumarie derivative (R-L of f - f(0)) and the integral against (dx)^alpha,
+gamma(1+alpha) I^alpha f.  The gridded Jumarie operator shares its weights.
 """
 
 from __future__ import annotations
@@ -96,22 +97,6 @@ def _float_if_scalar(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _singular_integral(fn: Callable, mu: float, upper: float, n: int):
-    # fn maps the nodes to samples along its last axis; the result has the
-    # shape of the remaining axes (a float for 1-D samples)
-    if upper == 0.0:
-        # an empty interval: zeros shaped like fn's rows, learnt at one node
-        return _float_if_scalar(np.zeros(np.shape(fn(np.zeros(1)))[:-1]))
-    # the rule on [0, 1], scaled by upper^mu: a subnormal upper keeps its
-    # digits even where the weights on [0, upper] would underflow (mu = 1)
-    nodes = np.linspace(0.0, upper, n + 1)
-    fx = np.asarray(fn(nodes), dtype=float)
-    out = fx @ _kernel_node_weights(mu, 1.0, n) * upper**mu
-    if not np.all(np.isfinite(out)):
-        raise QuadratureError(f"singular product rule returned {out!r}")
-    return _float_if_scalar(out)
-
-
 def _difference_step(x, alpha: float = 1.0):
     # step policy for every outer/inner numerical derivative in this module;
     # elementwise on arrays.  At x = 0 the outer derivative of an order
@@ -145,11 +130,24 @@ def rl_integral(
     order: FractionalOrder | float,
     x: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+) -> float | np.ndarray:
     """Riemann-Liouville integral of order alpha at x >= 0:
-    (1/gamma(alpha)) * int_0^x (x - xi)^(alpha-1) f(xi) dxi."""
+    (1/gamma(alpha)) * int_0^x (x - xi)^(alpha-1) f(xi) dxi.
+
+    A callable f may return samples along its last axis, one row per series;
+    the result then holds one integral per row (a float for 1-D samples).
+    """
     fn, alpha = _operand(f, order, x)
-    return _singular_integral(fn, alpha, x, cfg.n_panels) / gamma(alpha)
+    if x == 0.0:
+        # an empty interval: zeros shaped like fn's rows, learnt at one node
+        return _float_if_scalar(np.zeros(np.shape(fn(np.zeros(1)))[:-1]))
+    # the rule on [0, 1], scaled by x^alpha: a subnormal x keeps its digits
+    # even where the weights on [0, x] would underflow (alpha = 1)
+    fx = np.asarray(fn(np.linspace(0.0, x, cfg.n_panels + 1)), dtype=float)
+    out = fx @ _kernel_node_weights(alpha, 1.0, cfg.n_panels) * x**alpha
+    if not np.all(np.isfinite(out)):
+        raise QuadratureError(f"singular product rule returned {out!r}")
+    return _float_if_scalar(out) / gamma(alpha)
 
 
 def rl_derivative(
@@ -163,18 +161,14 @@ def rl_derivative(
 
     Maps constants to K * x^(-alpha) / gamma(1-alpha), not to zero.
 
-    A callable f may return samples along its last axis, one row per series;
-    the result then holds one derivative per row (a float for 1-D samples).
+    Rows of samples are handled as in rl_integral, one derivative per row.
     """
     fn, alpha = _operand(f, order, x)
     if alpha == 1.0:
         w = fn
     else:
-        inv_g = 1.0 / gamma(1.0 - alpha)
         # the (1 - alpha) R-L integral at each upper limit, along the last axis
-        w = lambda ys: np.stack(
-            [inv_g * _singular_integral(fn, 1.0 - alpha, y, cfg.n_panels) for y in ys], axis=-1
-        )
+        w = lambda ys: np.stack([rl_integral(fn, 1.0 - alpha, y, cfg) for y in ys], axis=-1)
     # outer derivative of w, forward where x - h would leave the domain (this
     # defines values at the left terminal as limits from the right)
     return _float_if_scalar(_fn_derivative_on(w, np.array([x]), alpha)[..., 0])
@@ -206,10 +200,10 @@ def caputo_derivative(
 
     Rows of samples are handled as in rl_derivative, at every order."""
     fn, alpha = _operand(f, order, x)
-    fprime = lambda nodes: _fn_derivative_on(fn, np.asarray(nodes, dtype=float))
     if alpha == 1.0:
-        return _float_if_scalar(fprime(np.array([x]))[..., 0])
-    return _singular_integral(fprime, 1.0 - alpha, x, cfg.n_panels) / gamma(1.0 - alpha)
+        return rl_derivative(fn, 1.0, x, cfg)
+    fprime = lambda nodes: _fn_derivative_on(fn, np.asarray(nodes, dtype=float))
+    return rl_integral(fprime, 1.0 - alpha, x, cfg)
 
 
 def integral_dx_alpha(

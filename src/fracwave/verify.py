@@ -32,6 +32,7 @@ from .transform import fractal_scale
 RESIDUAL_FLOOR = 1e-8  # below this, refinement levels count as converged
 MIN_RESIDUAL_CELLS = 32  # per axis, for the coarsest level of pde_residual
 RESIDUAL_BASE_CELLS = 64  # per axis, the coarsest level that fracwave verify studies
+RESIDUAL_LEVELS = 3  # refinement levels of pde_residual; each doubles the cells per axis
 COLLAR_CELLS = 2  # residual norms skip this many cells at the x = 0 and t = 0 edges
 
 
@@ -183,7 +184,8 @@ HEURISTIC_NOTE = (
 )
 
 
-def pde_residual(problem: WaveProblem, sol, nx: int, nt: int, levels: int = 3) -> ResidualReport:
+def pde_residual(problem: WaveProblem, sol, nx: int, nt: int,
+                 levels: int = RESIDUAL_LEVELS) -> ResidualReport:
     """Residual of the 2*alpha-order wave equation on refining grids.
 
     nx and nt count cells of the coarsest level; each level doubles both.  The

@@ -14,13 +14,14 @@ from fracwave.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFY,
+    MAX_GRID_POINTS,
     ProblemFileError,
     load_problem_file,
     main,
     write_field_csv,
 )
 from fracwave.core import FractionalOrder, Tolerance
-from fracwave.expr import parse
+from fracwave.expr import MAX_TOKENS, parse
 from fracwave.solver import (
     MIN_GRID_POINTS,
     Field2D,
@@ -133,6 +134,11 @@ def write_problem(path, **overrides):
     lines = [f"{key}: {value}" for key, value in base.items() if value is not None]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def assert_one_error_line(err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 def read_csv(path):
@@ -282,6 +288,59 @@ class TestProblemFile:
                 fh.write(f"quadrature:\n  {key}: 256\n")
             with pytest.raises(ProblemFileError, match="unknown quadrature keys"):
                 load_problem_file(path)
+
+
+class TestInputErrors:
+    """Each defect of a problem file or flag exits 2 with one error line."""
+
+    @pytest.mark.parametrize("content, alphas, message", [
+        pytest.param(None, None, "cannot read", id="missing_file"),
+        pytest.param("- 1\n- 2\n", None, "must contain a mapping of keys", id="not_a_mapping"),
+        pytest.param({"f": 3}, None, "key 'f' must be an expression string, got 3",
+                     id="non_string_f"),
+        pytest.param({"equation": "heat"}, None,
+                     "equation must be 'dalembert' or 'first_order', got 'heat'",
+                     id="unknown_equation"),
+        pytest.param({"quadrature": 5}, None, "key 'quadrature' must be a mapping",
+                     id="non_mapping_quadrature"),
+        pytest.param({"f": '"sin(x"'}, None, "key 'f': syntax error at position 5 (expected ')')",
+                     id="unclosed_call"),
+        pytest.param({}, "0.5,abc", "alpha list entry 'abc' is not a number", id="bad_alpha_list"),
+    ])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, content, alphas, message):
+        # content: no file (None), its text, or the keys that replace valid ones
+        path, out = tmp_path / "p.yaml", str(tmp_path / "out")
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            write_problem(path, **content)
+        argv = ["solve", str(path)] if alphas is None else ["sweep", str(path), "--alphas", alphas]
+        assert main(argv + ["--out", out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert message in err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("f", [
+        pytest.param("(" * 400 + "x" + ")" * 400, id="400_parentheses"),
+        pytest.param("-" * 1200 + "x", id="1200_minus_signs"),
+        pytest.param("+".join(["x"] * 5000), id="5000_terms"),
+    ])
+    def test_deep_or_long_profile_exits_2(self, tmp_path, capsys, f):
+        path = write_problem(tmp_path / "p.yaml", f=f'"{f}"')
+        assert main(["solve", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"key 'f': expression has more than {MAX_TOKENS} tokens" in err
+
+    def test_deepest_parenthesised_profile_solves(self, tmp_path):
+        # 127 levels of parentheses around x is 255 tokens: the same field as x
+        depth = (MAX_TOKENS - 1) // 2
+        deep = write_problem(tmp_path / "deep.yaml", f=f'"{"(" * depth}x{")" * depth}"')
+        flat = write_problem(tmp_path / "flat.yaml", f='"x"')
+        for path in (deep, flat):
+            assert main(["solve", str(path), "--out", str(path.with_suffix(".csv"))]) == EXIT_OK
+        assert (tmp_path / "deep.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
 
 
 # finite doubles, with the edge cases of %.17g drawn often: signed zero,
@@ -736,3 +795,30 @@ class TestGridFlagValidation:
         rc = main(self.argv(command, tmp_path) + flags)
         assert rc == EXIT_OK
         assert (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "figures"])
+    def test_grid_beyond_numpy_range_exits_2(self, tmp_path, capsys, command):
+        rc = main(self.argv(command, tmp_path) + ["--nx", "100000000000000000000"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"is too large for {command}: more than {MAX_GRID_POINTS} values" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--nx", "4096", "--nt", "4097"]),
+        # verify's 32 x 1024 base cells: a finest grid of 129 x 4097 points
+        # within the cap, but a 4097 x 4097 dense operator beyond it
+        ("verify", ["--nx", "32", "--nt", "1024"]),
+    ])
+    def test_grid_just_beyond_cap_exits_2(self, tmp_path, capsys, command, flags):
+        assert main(self.argv(command, tmp_path) + flags) == EXIT_INPUT
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_file_grid_beyond_numpy_range(self, tmp_path, capsys):
+        # solve evaluates the file's grid; verify studies its own residual grids
+        path = write_problem(tmp_path / "p.yaml", nx=10**30)
+        out = str(tmp_path / "out")
+        assert main(["solve", str(path), "--out", out]) == EXIT_INPUT
+        assert_one_error_line(capsys.readouterr().err)
+        assert main(["verify", str(path), "--out", out]) == EXIT_OK

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracwave.expr import (
+    MAX_TOKENS,
     BinOp,
     EvaluationError,
     Func,
@@ -135,6 +136,27 @@ class TestParse:
         with pytest.raises(ParseError, match=message) as err:
             parse(text)
         assert (err.value.position, err.value.expected) == (position, expected)
+
+
+class TestTokenCap:
+    """MAX_TOKENS bounds the depth of every tree, so that no recursive walk
+    (parse, evaluate, to_text, hashing) meets Python's recursion limit."""
+
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "x" + ")" * 400,
+        "-" * 1200 + "x",
+        "+".join(["x"] * 5000),
+    ])
+    def test_deep_or_long_expression_rejected(self, text):
+        with pytest.raises(ParseError, match=f"more than {MAX_TOKENS} tokens") as err:
+            parse(text)
+        assert err.value.position == MAX_TOKENS  # one character per token: the first past the cap
+
+    def test_cap_is_on_the_token_count(self):
+        at_cap = "-" * (MAX_TOKENS - 1) + "x"
+        assert evaluate(parse(at_cap), 2.0) == -2.0
+        with pytest.raises(ParseError, match=f"more than {MAX_TOKENS} tokens"):
+            parse("-" + at_cap)
 
 
 class TestEvaluate:

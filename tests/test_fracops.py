@@ -11,6 +11,7 @@ from fracwave.expr import BinOp, Literal, Pow, Var, evaluate, parse
 from fracwave.fracops import (
     QuadratureConfig,
     Samples1D,
+    _fn_derivative_on,
     _kernel_node_weights,
     caputo_derivative,
     grid_operator_matrix,
@@ -87,7 +88,31 @@ class TestRlIntegral:
                 op(parse("1/x"), 0.5, -1.0, CFG)
 
 
+# operands of the bitwise definition checks: expressions, and a callable of
+# rows (the shape of the t = 0 probe's call), with the result shape of each
+DEFINITION_OPERANDS = [
+    *[(parse(text), ()) for text in ("sin(x) + 2", "x^2 + 5", "exp(-x)")],
+    (lambda xs: np.stack([np.sin(xs + 1.0), 3.0 * xs**0.7 + 2.0]), (2,)),
+]
+
+
+def assert_same_bits(got, want, shape):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestRlDerivative:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8])
+    @pytest.mark.parametrize("x", [0.0, 0.6, 1.7])
+    def test_bitwise_definition_from_rl_integral(self, alpha, x):
+        # D^a f = d/dx I^(1-a) f: the module's outer derivative of rl_integral
+        cfg = QuadratureConfig(64)
+        for f, shape in DEFINITION_OPERANDS:
+            inner = lambda ys: np.stack([rl_integral(f, 1.0 - alpha, y, cfg) for y in ys], axis=-1)
+            want = _fn_derivative_on(inner, np.array([x]), alpha)[..., 0]
+            assert_same_bits(rl_derivative(f, alpha, x, cfg), want, shape)
+
     def test_constant_maps_to_power_law(self):
         # K x^-alpha / gamma(1-alpha); at K=1, alpha=0.5, x=1: 1/gamma(0.5)
         expected = 1.0 / math.gamma(0.5)
@@ -113,6 +138,21 @@ class TestRlDerivative:
 
 
 class TestCaputoDerivative:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("x", [0.0, 0.6, 1.7])
+    def test_bitwise_definition_from_rl_integral(self, alpha, x):
+        # ^C D^a f = I^(1-a) f', f' by differencing; at a = 1 it is f' itself,
+        # the R-L derivative of order 1
+        cfg = QuadratureConfig(64)
+        for f, shape in DEFINITION_OPERANDS:
+            fn = f if callable(f) else (lambda xs, f=f: evaluate(f, xs))
+            fprime = lambda nodes: _fn_derivative_on(fn, np.asarray(nodes, dtype=float))
+            if alpha == 1.0:
+                want = rl_derivative(f, 1.0, x, cfg)
+            else:
+                want = rl_integral(fprime, 1.0 - alpha, x, cfg)
+            assert_same_bits(caputo_derivative(f, alpha, x, cfg), want, shape)
+
     def test_annihilates_constants(self):
         assert abs(caputo_derivative(parse("7.5"), 0.5, 1.0, CFG)) <= 1e-12
 
