@@ -2,7 +2,8 @@
 reports out.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure,
-4 I/O error, 5 verification failure.
+4 I/O error, 5 verification failure.  main() alone maps exceptions to them;
+every input error, argparse's included, prints one `error:` line.
 """
 
 from __future__ import annotations
@@ -228,21 +229,16 @@ def _g17(values: np.ndarray) -> list[str]:
 # Subcommands raise; main() maps the exceptions to exit codes.
 
 
-def _check_grid_flags(args) -> None:
-    """Reject bad flags before any work: --nx/--nt below the subcommand's
-    grid_min, and a --tol that is not positive and finite."""
+def _with_flags(pf: ProblemFile, args) -> ProblemFile:
+    """pf with the given --nx, --nt and --tol in place of its own; refuses a grid
+    flag below grid_min, a --tol not positive and finite, and a huge grid."""
     for flag in ("nx", "nt"):
         value = getattr(args, flag)
         if value is not None and value < args.grid_min:
-            raise ProblemFileError(
-                f"--{flag} must be at least {args.grid_min} for {args.command}, got {value!r}"
-            )
+            raise ProblemFileError(f"--{flag} must be at least {args.grid_min} for "
+                                   f"{args.command}, got {value!r}")
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise ProblemFileError(f"--tol must be positive and finite, got {args.tol!r}")
-
-
-def _with_flags(pf: ProblemFile, args) -> ProblemFile:
-    """pf with the given --nx, --nt and --tol in place of its own; refuses a huge grid."""
     pf = replace(pf, nx=pf.nx if args.nx is None else args.nx,
                  nt=pf.nt if args.nt is None else args.nt,
                  tol=pf.tol if args.tol is None else Tolerance(args.tol))
@@ -262,9 +258,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # verify's --nx/--nt count the base cells of the residual study, not grid points
-    pf = load_problem_file(args.problem)
-    pf = _with_flags(replace(pf, nx=RESIDUAL_BASE_CELLS, nt=RESIDUAL_BASE_CELLS), args)
+    pf = _with_flags(load_problem_file(args.problem), args)
     report: dict = {"schema_version": SCHEMA_VERSION, "problem": str(args.problem),
                     "alpha": pf.problem.alpha, "equation": pf.equation}
     text = [f"verification of {args.problem} (alpha = {pf.problem.alpha}, {pf.equation})"]
@@ -340,8 +334,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main() maps it to exit 2, like any input error
+        raise ProblemFileError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracwave",
         description="closed-form solutions of fractional wave equations, "
         "with numerical verification",
@@ -371,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a printed closed-form candidate instead of the "
         "quadrature solution (worked example shapes only)",
     )
+    # verify's --nx/--nt count the base cells of the residual study, not grid points
     add_grid_flags(p_verify, MIN_RESIDUAL_CELLS, "residual cells")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, nx=RESIDUAL_BASE_CELLS, nt=RESIDUAL_BASE_CELLS)
 
     p_fig = sub.add_parser(
         "figures", help="emit the example datasets for alpha = 0.7, 0.8, 0.9, 1.0"
@@ -391,9 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _check_grid_flags(args)
+        args = build_parser().parse_args(argv)  # --help exits 0 from here
         return args.func(args)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,7 +146,9 @@ def rl_integral(
     fx = np.asarray(fn(np.linspace(0.0, x, cfg.n_panels + 1)), dtype=float)
     out = fx @ _kernel_node_weights(alpha, 1.0, cfg.n_panels) * x**alpha
     if not np.all(np.isfinite(out)):
-        raise QuadratureError(f"singular product rule returned {out!r}")
+        bad = np.count_nonzero(~np.isfinite(out))
+        raise QuadratureError(
+            f"singular product rule: {bad} of {np.size(out)} integrals are not finite")
     return _float_if_scalar(out) / gamma(alpha)
 
 

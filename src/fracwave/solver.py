@@ -246,9 +246,11 @@ class ClosedFormSolution:
             return evaluate(prob.f, lo)
         n = lo.size
         ends = np.concatenate([xp + c_a * tp, lo])  # hi, then lo
-        f = evaluate(prob.f, ends)
+        # each end halved before the two are summed: u stays finite where
+        # f's two ends sum past a double
+        half_f = 0.5 * evaluate(prob.f, ends)
         A = self._antiderivative(ends)
-        return 0.5 * (f[:n] + f[n:]) + (A[:n] - A[n:]) / (2.0 * c_a)
+        return half_f[:n] + half_f[n:] + (A[:n] - A[n:]) / (2.0 * c_a)
 
     def evaluate(self, x: float, t: float) -> float:
         return float(self.evaluate_many(np.array([x]), np.array([t]))[0])

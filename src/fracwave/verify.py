@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, QuadratureError
 from .expr import evaluate, parse
 from .fracops import QuadratureConfig, grid_operator_matrix, jumarie_derivative
 from .solver import (
@@ -216,19 +216,20 @@ def pde_residual(problem: WaveProblem, sol, nx: int, nt: int,
         dx, dt = problem.x_max / ncx, problem.t_max / nct
         mt = grid_operator_matrix(nct, dt, alpha)
         mx = mt if (ncx, dx) == (nct, dt) else grid_operator_matrix(ncx, dx, alpha)
-        resid = mt @ (mt @ u) - c2a * ((u @ mx.T) @ mx.T)
-        inner = resid[COLLAR_CELLS:, COLLAR_CELLS:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = mt @ (mt @ u) - c2a * ((u @ mx.T) @ mx.T)
+            inner = resid[COLLAR_CELLS:, COLLAR_CELLS:]
+            l2 = float(np.sqrt(np.mean(inner ** 2)))
+        # a NaN or infinity in the norms' window, or a square past a double
+        # (|resid| above about 1e154), would reach the report as invalid JSON
+        if not math.isfinite(l2):
+            raise QuadratureError(f"wave-equation residual on {ncx} x {nct} cells has a "
+                                  "non-finite l2 norm")
         i0x, i1x = int(0.2 * ncx), int(0.8 * ncx) + 1
         i0t, i1t = int(0.2 * nct), int(0.8 * nct) + 1
         core = resid[i0t:i1t, i0x:i1x]
-        out.append(
-            LevelResidual(
-                ncx, nct,
-                float(np.abs(inner).max()),
-                float(np.sqrt(np.mean(inner ** 2))),
-                float(np.abs(core).max()),
-            )
-        )
+        out.append(LevelResidual(ncx, nct, float(np.abs(inner).max()), l2,
+                                 float(np.abs(core).max())))
     linfs = [lv.linf for lv in out]
     monotone = all(
         linfs[i + 1] <= linfs[i] or linfs[i + 1] < RESIDUAL_FLOOR

@@ -342,6 +342,91 @@ class TestInputErrors:
             assert main(["solve", str(path), "--out", str(path.with_suffix(".csv"))]) == EXIT_OK
         assert (tmp_path / "deep.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param([], "the following arguments are required: command", id="no_subcommand"),
+        pytest.param(["bogus"], "invalid choice: 'bogus'", id="unknown_subcommand"),
+        pytest.param(["solve", "{p}", "--out", "{o}", "--frob"], "unrecognized arguments: --frob",
+                     id="unknown_flag"),
+        pytest.param(["solve", "{p}", "--nx", "abc", "--out", "{o}"],
+                     "argument --nx: invalid int value: 'abc'", id="nx_abc"),
+        pytest.param(["solve", "{p}", "--tol", "abc", "--out", "{o}"],
+                     "argument --tol: invalid float value: 'abc'", id="tol_abc"),
+        pytest.param(["solve", "{p}"], "the following arguments are required: --out",
+                     id="missing_out"),
+        pytest.param(["sweep", "{p}", "--out", "{o}"],
+                     "the following arguments are required: --alphas", id="sweep_without_alphas"),
+        pytest.param(["verify", "{p}", "--candidate-form", "foo", "--out", "{o}"],
+                     "argument --candidate-form: invalid choice: 'foo'", id="unknown_candidate_form"),
+    ])
+    def test_argparse_error_exits_2(self, tmp_path, capsys, argv, message):
+        # argparse's errors reach main's exit-code map: no SystemExit, no usage block
+        path, out = write_problem(tmp_path / "p.yaml"), tmp_path / "out"
+        assert main([arg.format(p=path, o=out) for arg in argv]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert message in err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fracwave solve")
+
+
+# argv drawn from a fixed vocabulary: a valid command line with small grids,
+# then up to three of its entries replaced by another value (valid, junk, or
+# None to leave it out); "problem" is the positional argument
+VALID_ARGS = {
+    "solve": {"--out": "out.csv", "--nx": "9", "--nt": "9"},
+    "verify": {"--out": "out.json", "--nx": "32", "--nt": "32"},
+    "figures": {"--out": "out", "--nx": "9", "--nt": "9"},
+    "sweep": {"--alphas": "0.5,1", "--out": "out", "--nx": "9", "--nt": "9"},
+    "bogus": {},
+}
+OTHER_VALUES = {
+    "problem": [None, "missing.yaml", str(SHIPPED[0])],
+    "--out": [None, "", "missing_dir/out", "out"],
+    "--nx": [None, "abc", "0", "1", "33", "1e3", "100000000000000000000"],
+    "--nt": [None, "abc", "-4", "32", "100000000000000000000"],
+    "--tol": ["1e-6", "abc", "0", "inf", "nan", "1e-300"],
+    "--alphas": [None, "0.9", "abc", "0", "0.1234567,0.1234568"],
+    "--candidate-form": ["sin_product", "cos_product", "foo"],
+    "--frob": ["1"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(VALID_ARGS)))
+    args = dict(VALID_ARGS[command])
+    if command not in ("figures", "bogus"):
+        args["problem"] = str(draw(st.sampled_from(SHIPPED)))
+    for key in draw(st.lists(st.sampled_from(sorted(OTHER_VALUES)), max_size=3)):
+        args[key] = draw(st.sampled_from(OTHER_VALUES[key]))
+    argv = [command] + ([args.pop("problem")] if args.get("problem") else [])
+    return argv + [token for flag, value in args.items() if value is not None
+                   for token in (flag, value)]
+
+
+class TestEveryArgvMapsToAnExitCode:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_argv())
+    def test_documented_code_and_one_line(self, tmp_path, monkeypatch, capsys, argv):
+        # every output path is relative, so the command writes under tmp_path
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL, EXIT_IO, EXIT_VERIFY), (argv, err)
+        if rc in (EXIT_OK, EXIT_VERIFY):  # a failed check is reported on stdout
+            assert err == "", (argv, err)
+        else:
+            lines = err.splitlines()
+            assert len(lines) == 1, (argv, err)
+            assert lines[0].startswith(("error:", "numerical failure:", "i/o error:")), (argv, err)
+
 
 # finite doubles, with the edge cases of %.17g drawn often: signed zero,
 # subnormals and the ends of the range
@@ -406,6 +491,14 @@ class TestSolveCommand:
         x, t, u = read_csv(out)
         first = t == 0.0
         assert np.abs(u[first] - x[first] ** 2).max() <= 1e-12
+
+    def test_huge_finite_profile_solves(self, tmp_path, capsys):
+        # each end of f is halved before the two are summed: 1e308 + 1e308 overflows
+        path = write_problem(tmp_path / "p.yaml", f='"1e308"')
+        out = tmp_path / "o.csv"
+        assert main(["solve", str(path), "--nx", "9", "--nt", "9", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert set(read_csv(out)[2]) == {1e308}
 
     def test_malformed_expression_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.yaml", f='"sin("')
@@ -518,6 +611,20 @@ class TestSolveCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("f", [
+        pytest.param("1e308", id="matmul_overflow"),  # the residual holds NaN
+        pytest.param("1e170", id="square_overflow"),  # finite, but its squares are not
+    ])
+    def test_non_finite_residual_exits_3_without_a_report(self, tmp_path, capsys, f):
+        # a NaN or Infinity would make the report invalid JSON
+        path = write_problem(tmp_path / "p.yaml", f=f'"{f}"')
+        out = tmp_path / "report.json"
+        assert main(["verify", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: wave-equation residual on 64 x 64 cells has a non-finite l2 norm\n"
+        )
+        assert not out.exists()
+
     def test_first_order_problem_passes(self, tmp_path, capsys):
         path = write_problem(
             tmp_path / "p.yaml", equation="first_order", alpha=0.5, f='"sin(x)"', g='"0"'

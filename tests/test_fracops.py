@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from fracwave.core import DomainError, euler_power_coefficient, gamma
+from fracwave.core import DomainError, QuadratureError, euler_power_coefficient, gamma
 from fracwave.expr import BinOp, Literal, Pow, Var, evaluate, parse
 from fracwave.fracops import (
     QuadratureConfig,
@@ -78,6 +78,14 @@ class TestRlIntegral:
         assert isinstance(got, np.ndarray) and got.shape == (2,)
         assert np.array_equal(got, np.zeros(2))
         assert rl_integral(rows, 0.5, 1.0, CFG).shape == (2,)
+
+    def test_non_finite_rows_give_a_one_line_message(self):
+        # a count, not the array: NumPy's repr of 33 values spans several lines
+        rows = lambda ts: np.full((33, ts.size), np.inf)
+        with pytest.raises(QuadratureError) as info:
+            rl_integral(rows, 0.5, 1.0, CFG)
+        message = str(info.value)
+        assert "\n" not in message and "33 of 33 integrals are not finite" in message
 
     def test_negative_x_rejected(self):
         # every pointwise operator refuses x < 0 before it evaluates f: 1/x
