@@ -27,6 +27,7 @@ from .solver import (
     Field2D,
     WaveProblem,
     evaluate_field,
+    solve_dalembert,
 )
 from .verify import (
     EXAMPLE_G,
@@ -92,13 +93,11 @@ class ProblemFileError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """Validated contents of a problem file plus solver-facing objects."""
+    """A problem file as the solution it describes plus its point grid."""
 
-    problem: WaveProblem
+    solution: ClosedFormSolution
     nx: int
     nt: int
-    equation: str  # 'dalembert' or 'first_order'
-    tol: Tolerance
 
 
 # a number in exponent form; YAML reads it as a float only with a '.' in the
@@ -119,17 +118,16 @@ def _require_number(raw: dict, key: str) -> float:
             )
         raise ProblemFileError(message)
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:  # an int beyond the range of a double
         raise ProblemFileError(f"key '{key}' is beyond the range of a double") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise ProblemFileError(f"key '{key}' must be a finite positive number, got {value!r}")
-    return value
 
 
 def load_problem_file(path: str | Path) -> ProblemFile:
-    """Parse and fully validate a problem file; raises ProblemFileError with
-    an explanatory message on any defect (unknown keys are rejected)."""
+    """Parse a problem file into the solution it describes; raises
+    ProblemFileError with an explanatory message on any defect (unknown keys
+    are rejected).  Here the file's YAML types are checked; the library's
+    constructors judge its values."""
     try:
         # from bytes, so that YAML's reader decodes them and rejects bad ones
         raw = yaml.safe_load(Path(path).read_bytes())
@@ -148,25 +146,17 @@ def load_problem_file(path: str | Path) -> ProblemFile:
         raise ProblemFileError(f"missing keys: {', '.join(missing)}")
     version = raw["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise ProblemFileError(
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
-        )
+        raise ProblemFileError(f"unsupported schema_version {version!r} "
+                               f"(expected {SCHEMA_VERSION})")
 
-    alpha = _require_number(raw, "alpha")
-    if not 0.0 < alpha <= 1.0:
-        raise ProblemFileError(f"alpha must lie in (0, 1], got {alpha}")
-    c = _require_number(raw, "c")
-    x_max = _require_number(raw, "x_max")
-    t_max = _require_number(raw, "t_max")
-
-    grids = {}
+    alpha, c, x_max, t_max = (_require_number(raw, k) for k in ("alpha", "c", "x_max", "t_max"))
+    # judged here: the library judges a grid only when it evaluates one (exit 3)
     for key in ("nx", "nt"):
         value = raw[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < MIN_GRID_POINTS:
             raise ProblemFileError(
                 f"key '{key}' must be an integer >= {MIN_GRID_POINTS}, got {value!r}"
             )
-        grids[key] = value
 
     exprs = {}
     for key in ("f", "g"):
@@ -178,12 +168,6 @@ def load_problem_file(path: str | Path) -> ProblemFile:
         except ParseError as exc:
             raise ProblemFileError(f"key '{key}': {exc}") from exc
 
-    equation = raw.get("equation", "dalembert")
-    if equation not in ("dalembert", "first_order"):
-        raise ProblemFileError(
-            f"equation must be 'dalembert' or 'first_order', got {equation!r}"
-        )
-
     quad = raw.get("quadrature", {})
     if not isinstance(quad, dict):
         raise ProblemFileError("key 'quadrature' must be a mapping")
@@ -191,19 +175,14 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     if unknown_q:
         raise ProblemFileError(f"unknown quadrature keys: {', '.join(unknown_q)}")
     # the key left is abs_tol; Tolerance supplies the default
-    tol = Tolerance(**{key: _require_number(quad, key) for key in quad})
+    tol_args = {key: _require_number(quad, key) for key in quad}
     try:
-        problem = WaveProblem(
-            FractionalOrder(alpha), c, exprs["f"], exprs["g"], x_max, t_max
-        )
+        problem = WaveProblem(FractionalOrder(alpha), c, exprs["f"], exprs["g"], x_max, t_max)
+        solution = ClosedFormSolution(raw.get("equation", "dalembert"), problem,
+                                      Tolerance(**tol_args))
     except (DomainError, EvaluationError) as exc:
         raise ProblemFileError(str(exc)) from exc
-    return ProblemFile(problem, grids["nx"], grids["nt"], equation, tol)
-
-
-def _solve(pf: ProblemFile) -> ClosedFormSolution:
-    # the equation names the solution's kind; a first_order one reads no tol
-    return ClosedFormSolution(pf.equation, pf.problem, pf.tol)
+    return ProblemFile(solution, raw["nx"], raw["nt"])
 
 
 def write_field_csv(field: Field2D, path: str | Path) -> None:
@@ -239,9 +218,9 @@ def _with_flags(pf: ProblemFile, args) -> ProblemFile:
                                    f"{args.command}, got {value!r}")
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise ProblemFileError(f"--tol must be positive and finite, got {args.tol!r}")
-    pf = replace(pf, nx=pf.nx if args.nx is None else args.nx,
-                 nt=pf.nt if args.nt is None else args.nt,
-                 tol=pf.tol if args.tol is None else Tolerance(args.tol))
+    sol = pf.solution if args.tol is None else replace(pf.solution, tol=Tolerance(args.tol))
+    pf = ProblemFile(sol, pf.nx if args.nx is None else args.nx,
+                     pf.nt if args.nt is None else args.nt)
     size = pf.nx * pf.nt
     if args.command == "verify":  # nx, nt count base cells; the operators are square
         size = (max(pf.nx, pf.nt) * 2 ** (RESIDUAL_LEVELS - 1) + 1) ** 2
@@ -253,20 +232,21 @@ def _with_flags(pf: ProblemFile, args) -> ProblemFile:
 
 def cmd_solve(args) -> int:
     pf = _with_flags(load_problem_file(args.problem), args)
-    write_field_csv(evaluate_field(_solve(pf), pf.nx, pf.nt), args.out)
+    write_field_csv(evaluate_field(pf.solution, pf.nx, pf.nt), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     pf = _with_flags(load_problem_file(args.problem), args)
+    sol = subject = pf.solution
+    problem, equation = sol.problem, sol.kind
     report: dict = {"schema_version": SCHEMA_VERSION, "problem": str(args.problem),
-                    "alpha": pf.problem.alpha, "equation": pf.equation}
-    text = [f"verification of {args.problem} (alpha = {pf.problem.alpha}, {pf.equation})"]
-    sol = subject = _solve(pf)
+                    "alpha": problem.alpha, "equation": equation}
+    text = [f"verification of {args.problem} (alpha = {problem.alpha}, {equation})"]
     candidate = args.candidate_form
     if candidate != "quadrature":
-        forms = candidate_product_forms(pf.problem)
-        if pf.equation != "dalembert" or forms is None:
+        forms = candidate_product_forms(problem)
+        if equation != "dalembert" or forms is None:
             raise ProblemFileError(
                 f"--candidate-form {candidate} requires a d'Alembert problem matching "
                 "one of the worked example shapes"
@@ -275,14 +255,14 @@ def cmd_verify(args) -> int:
         report["candidate_form"] = candidate
         text.append(f"  subject: candidate closed form '{candidate}'")
 
-    checks = {"initial_conditions": check_initial_conditions(pf.problem, subject)}
-    if pf.equation == "dalembert":
-        checks["residual"] = pde_residual(pf.problem, subject, pf.nx, pf.nt)
-        if (forms_report := compare_candidate_forms(pf.problem, sol)) is not None:
+    checks = {"initial_conditions": check_initial_conditions(problem, subject)}
+    if equation == "dalembert":
+        checks["residual"] = pde_residual(problem, subject, pf.nx, pf.nt)
+        if (forms_report := compare_candidate_forms(problem, sol)) is not None:
             checks["candidate_forms"] = forms_report
         report["route_equivalence"] = {"applicable": False}
     else:
-        checks["route_equivalence"] = RouteReport(route_equivalence(pf.problem))
+        checks["route_equivalence"] = RouteReport(route_equivalence(problem))
 
     failures = [check.failure for check in checks.values() if not check.passed]
     report |= {name: check.to_dict() for name, check in checks.items()}
@@ -300,9 +280,10 @@ def _order_csv_name(prefix: str, alpha: float) -> str:
 def _write_order_fields(pf: ProblemFile, alphas, outdir: Path, prefix: str) -> None:
     """Solve pf at each order on its grid; write outdir / _order_csv_name(prefix, alpha)."""
     outdir.mkdir(parents=True, exist_ok=True)
+    sol = pf.solution
     for alpha in alphas:
-        sub = replace(pf, problem=replace(pf.problem, order=FractionalOrder(alpha)))
-        field = evaluate_field(_solve(sub), pf.nx, pf.nt)
+        sub = replace(sol, problem=replace(sol.problem, order=FractionalOrder(alpha)))
+        field = evaluate_field(sub, pf.nx, pf.nt)
         write_field_csv(field, outdir / _order_csv_name(prefix, alpha))
 
 
@@ -310,7 +291,8 @@ def cmd_figures(args) -> int:
     for example, f in enumerate(WORKED_EXAMPLES, start=1):  # the order is set per field
         problem = WaveProblem(FractionalOrder(FIGURE_ALPHAS[0]), 1.0, f, EXAMPLE_G,
                               2.0 * math.pi, 2.0 * math.pi)
-        pf = _with_flags(ProblemFile(problem, 65, 65, "dalembert", Tolerance(FIGURES_TOL)), args)
+        pf = _with_flags(ProblemFile(solve_dalembert(problem, Tolerance(FIGURES_TOL)), 65, 65),
+                         args)
         _write_order_fields(pf, FIGURE_ALPHAS, Path(args.out), f"example{example}_alpha")
     (Path(args.out) / "README.md").write_text(_FIGURES_README)
     return EXIT_OK

@@ -67,6 +67,8 @@ MIN_GRID_POINTS = 2  # per axis, for evaluate_field
 # --- the velocity table -------------------------------------------------------
 
 
+# no warnings: a non-finite knot, floor, coefficient or G meets a check below
+@np.errstate(over="ignore", invalid="ignore")
 def _velocity_table(
     g: Expression, lo: float, hi: float, tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,9 +175,10 @@ class WaveProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", as_order(self.order))
         if not (math.isfinite(self.speed) and self.speed > 0.0):
-            raise DomainError(f"wave speed must be > 0, got {self.speed!r}")
+            raise DomainError(f"wave speed c must be finite and > 0, got {self.speed!r}")
         if not (self.x_max > 0.0 and self.t_max > 0.0):
-            raise DomainError("x_max and t_max must be positive")
+            raise DomainError(f"x_max and t_max must be positive, got x_max = {self.x_max!r}, "
+                              f"t_max = {self.t_max!r}")
         with np.errstate(over="ignore"):
             lo, hi = self.scaled_argument_range()
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -231,6 +234,10 @@ class ClosedFormSolution:
     kind: TypingLiteral["first_order", "dalembert"]
     problem: WaveProblem
     tol: Tolerance = Tolerance()
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("dalembert", "first_order"):
+            raise DomainError(f"equation must be 'dalembert' or 'first_order', got {self.kind!r}")
 
     def evaluate_many(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Evaluate at paired coordinate arrays (vectorized, one batch)."""

@@ -106,6 +106,8 @@ def check_initial_conditions(problem: WaveProblem, sol) -> InitialConditionRepor
     it must detect are order one.
     """
     pos_err = position_error(problem, sol)
+    if not math.isfinite(pos_err):  # nor can the velocity probe read a non-finite u
+        raise QuadratureError("initial-condition check: u(x, 0) is not finite")
     # position_rel_tol is 0.0: the bound is absolute
     position = (pos_err, POSITION_TOL, 0.0, pos_err <= POSITION_TOL)
 
@@ -206,6 +208,10 @@ def pde_residual(problem: WaveProblem, sol, nx: int, nt: int,
     alpha = problem.alpha
     c2a = problem.speed ** (2.0 * alpha)
     top = 2 ** (levels - 1)
+    for name, span, cells in (("x", problem.x_max, nx * top), ("t", problem.t_max, nt * top)):
+        if not span / cells >= np.finfo(float).tiny:  # below it, np.gradient's 1 / (2 h) overflows
+            raise DomainError(f"residual grid spacing {name}_max / {cells} = {span / cells:.3g} "
+                              "is not a positive normal double")
     finest = evaluate_grid(sol, np.linspace(0.0, problem.x_max, nx * top + 1),
                            np.linspace(0.0, problem.t_max, nt * top + 1))
     out: list[LevelResidual] = []
@@ -403,7 +409,8 @@ def candidate_product_forms(problem: WaveProblem) -> dict[str, CallableSolution]
     def make(trig) -> CallableSolution:
         def u(x, t):
             xp, tp = problem.scaled_coords(x, t)
-            return f_part(xp, c_a * tp) + trig(xp) * trig(c_a * tp) / c_a
+            with np.errstate(over="ignore", invalid="ignore"):  # 1 / c^a overflows at a tiny c
+                return f_part(xp, c_a * tp) + trig(xp) * trig(c_a * tp) / c_a
 
         return CallableSolution(u)
 
@@ -426,4 +433,7 @@ def compare_candidate_forms(problem: WaveProblem, sol: ClosedFormSolution) -> Fo
     ic = {name: position_error(problem, form) for name, form in forms.items()}
     gaps = {name: float(np.abs(evaluate_grid(form, xs, ts) - u_truth).max())
             for name, form in forms.items()}
+    for name in forms:  # a NaN or infinity would reach the report as invalid JSON
+        if not math.isfinite(ic[name] + gaps[name]):
+            raise QuadratureError(f"candidate form '{name}' is not finite on the comparison grid")
     return FormComparison(tuple(forms), ic, gaps)

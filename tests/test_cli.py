@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fracwave.cli import (
@@ -149,15 +149,15 @@ def read_csv(path):
 class TestProblemFile:
     def test_loads_valid_file(self, tmp_path):
         pf = load_problem_file(write_problem(tmp_path / "p.yaml"))
-        assert pf.problem.alpha == 0.8
+        assert pf.solution.problem.alpha == 0.8
         assert pf.nx == 17 and pf.nt == 17
-        assert pf.equation == "dalembert"
+        assert pf.solution.kind == "dalembert"
 
     def test_shipped_problem_files_are_valid(self):
         assert len(SHIPPED) == 4
         for path in SHIPPED:
             pf = load_problem_file(path)
-            assert 0.0 < pf.problem.alpha <= 1.0
+            assert 0.0 < pf.solution.problem.alpha <= 1.0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_problem(tmp_path / "p.yaml", extra=1)
@@ -236,7 +236,7 @@ class TestProblemFile:
         assert main(["solve", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT
         assert "write 1.0e+300" in capsys.readouterr().err
         accepted = write_problem(path, c="1.0e+300", f='"0"', g='"0"')
-        assert load_problem_file(accepted).problem.speed == 1e300
+        assert load_problem_file(accepted).solution.problem.speed == 1e300
 
     def test_overflowing_argument_range_rejected(self, tmp_path, capsys):
         # c^a T' overflows a double: the speed and horizon are named, no
@@ -259,7 +259,7 @@ class TestProblemFile:
         with path.open("a") as fh:
             fh.write(f"quadrature:\n  {key}: 1.0e-8\n")
         pf = load_problem_file(path)
-        assert pf.tol == Tolerance(1e-8)
+        assert pf.solution.tol == Tolerance(1e-8)
 
     @pytest.mark.parametrize("value", [".nan", ".inf", "abc", "true"])
     @pytest.mark.parametrize("key", ["abs_tol"])
@@ -303,6 +303,18 @@ class TestInputErrors:
                      id="unknown_equation"),
         pytest.param({"quadrature": 5}, None, "key 'quadrature' must be a mapping",
                      id="non_mapping_quadrature"),
+        # values are judged by the library objects the file builds
+        pytest.param({"c": "-1.0"}, None, "wave speed c must be finite and > 0, got -1.0",
+                     id="negative_c"),
+        pytest.param({"alpha": "1.5"}, None,
+                     "fractional order must satisfy 0 < alpha <= 1, got 1.5", id="alpha_above_1"),
+        pytest.param({"t_max": "0"}, None,
+                     "x_max and t_max must be positive, got x_max = 6.283185307179586, "
+                     "t_max = 0.0", id="zero_t_max"),
+        pytest.param({"x_max": ".inf"}, None, "scaled argument range [-4.671057661617592, inf] "
+                     "overflows a double", id="infinite_x_max"),
+        pytest.param({"quadrature": "{abs_tol: -1.0}"}, None,
+                     "abs_tol must be finite and > 0, got -1.0", id="negative_abs_tol"),
         pytest.param({"f": '"sin(x"'}, None, "key 'f': syntax error at position 5 (expected ')')",
                      id="unclosed_call"),
         pytest.param({}, "0.5,abc", "alpha list entry 'abc' is not a number", id="bad_alpha_list"),
@@ -409,6 +421,19 @@ def cli_argv(draw):
                    for token in (flag, value)]
 
 
+def assert_documented_exit(rc: int, err: str, context) -> None:
+    """rc is one of the codes the cli docstring promises; 0 and 5 print
+    nothing on stderr (a failed check is reported on stdout), and the others
+    print one line naming their kind."""
+    assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL, EXIT_IO, EXIT_VERIFY), (context, err)
+    if rc in (EXIT_OK, EXIT_VERIFY):
+        assert err == "", (context, err)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1, (context, err)
+        assert lines[0].startswith(("error:", "numerical failure:", "i/o error:")), (context, err)
+
+
 class TestEveryArgvMapsToAnExitCode:
     @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -418,14 +443,101 @@ class TestEveryArgvMapsToAnExitCode:
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()
         rc = main(argv)
+        assert_documented_exit(rc, capsys.readouterr().err, argv)
+
+
+# problem files drawn as a valid one (the example1 shape on a 9 x 9 grid)
+# with up to three keys replaced: by another valid value, a wrong type, a
+# number at the edge of a double or of the key's range, a deep or long
+# expression, or None to leave the key out; "extra" is an unknown key
+BEYOND_A_DOUBLE = "1" + "0" * 400
+NUMBERS = ["0.5", "1.0", "0", "-1.0", "4.9e-324", "1.0e+300", ".inf", ".nan", BEYOND_A_DOUBLE,
+           '"1e3"', "true", "[1]", None]
+EXPRESSIONS = ['"x^2"', '"0"', '"1e308"', '"1/(x-1)"', '"exp(800*x)"', '"sin("', "3", None,
+               f'"{"(" * 127}x{")" * 127}"', f'"{"(" * 400}x{")" * 400}"',
+               '"' + "+".join(["x"] * 5000) + '"']
+GRIDS = ["2", "1", "-3", "9.0", "true", BEYOND_A_DOUBLE, None]
+FILE_VALUES = {
+    "schema_version": ["2", "true", None],
+    "alpha": NUMBERS, "c": NUMBERS, "x_max": NUMBERS, "t_max": NUMBERS,
+    "f": EXPRESSIONS, "g": EXPRESSIONS,
+    "nx": GRIDS, "nt": GRIDS,
+    "equation": ["first_order", "dalembert", "heat", "[1]"],
+    "quadrature": ["{abs_tol: 1.0e-6}", "{abs_tol: 1.0e+300}", "{abs_tol: 4.9e-324}",
+                   "{abs_tol: .nan}", "{abs_tol: -1.0}", "{rel_tol: 1.0e-6}", "5"],
+    "extra": ["1"],
+}
+FILE_COMMANDS = {
+    "solve": ["--out", "out.csv"],
+    "verify": ["--nx", "32", "--nt", "32", "--out", "out.json"],
+    "sweep": ["--alphas", "0.5,1", "--out", "out"],
+}
+
+
+@st.composite
+def problem_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(FILE_VALUES)), max_size=3))
+    return {key: draw(st.sampled_from(FILE_VALUES[key])) for key in keys}
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+class TestEveryProblemFileMapsToAnExitCode:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(overrides=problem_overrides())
+    # the files of the bugs this property found: 1 / c^a overflows in the
+    # candidate forms, the residual spacing underflows to 0, and the velocity
+    # table's prefix sum and its rounding floor overflow
+    @example(overrides={"alpha": "1.0", "c": "4.9e-324"})
+    @example(overrides={"x_max": "4.9e-324"})
+    @example(overrides={"g": '"1e308"', "quadrature": "{abs_tol: 1.0e+300}"})
+    @example(overrides={"c": "1.0e+300", "f": '"0"', "g": '"1e308"'})
+    def test_documented_code_one_line_and_no_warning(self, tmp_path, monkeypatch, capsys,
+                                                     overrides):
+        monkeypatch.chdir(tmp_path)
+        write_problem(tmp_path / "p.yaml", **({"alpha": "0.9", "nx": 9, "nt": 9} | overrides))
+        for command, flags in FILE_COMMANDS.items():
+            argv = [command, "p.yaml", *flags]
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
+            assert_documented_exit(rc, capsys.readouterr().err, (overrides, argv))
+            assert [str(w.message) for w in caught] == [], (overrides, argv)
+            report = tmp_path / "out.json"
+            if report.exists():
+                assert rc in (EXIT_OK, EXIT_VERIFY), (overrides, argv)
+                json.loads(report.read_text(), parse_constant=_reject_constant)
+                report.unlink()
+
+    @pytest.mark.parametrize("overrides, argv, message", [
+        pytest.param({"alpha": "1.0", "c": "4.9e-324"}, ["verify"],
+                     "candidate form 'cos_product' is not finite on the comparison grid",
+                     id="tiny_c_candidate_forms"),
+        pytest.param({"x_max": "4.9e-324"}, ["verify"],
+                     "residual grid spacing x_max / 256 = 0 is not a positive normal double",
+                     id="tiny_x_max_residual_spacing"),
+        pytest.param({"g": '"1e308"'}, ["solve", "--tol", "1e300", "--nx", "9", "--nt", "9"],
+                     "Chebyshev cell rule produced a non-finite result",
+                     id="huge_g_prefix_sum"),
+        pytest.param({"c": "1.0e+300", "f": '"0"', "g": '"1e308"'}, ["solve"],
+                     "eps h max|g at the knots| = inf", id="huge_c_rounding_floor"),
+    ])
+    def test_overflow_exits_3_with_one_line_and_no_output(self, tmp_path, capsys, overrides,
+                                                          argv, message):
+        path, out = write_problem(tmp_path / "p.yaml", **overrides), tmp_path / "out"
+        command, *flags = argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(path), *flags, "--out", str(out)]) == EXIT_NUMERICAL
+        assert caught == []
         err = capsys.readouterr().err
-        assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL, EXIT_IO, EXIT_VERIFY), (argv, err)
-        if rc in (EXIT_OK, EXIT_VERIFY):  # a failed check is reported on stdout
-            assert err == "", (argv, err)
-        else:
-            lines = err.splitlines()
-            assert len(lines) == 1, (argv, err)
-            assert lines[0].startswith(("error:", "numerical failure:", "i/o error:")), (argv, err)
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: "), err
+        assert message in err
+        assert not out.exists()
 
 
 # finite doubles, with the edge cases of %.17g drawn often: signed zero,
@@ -541,7 +653,7 @@ class TestSolveCommand:
         # and the file's equation names the kind: the library's first-order field
         pf = load_problem_file(path)
         golden = tmp_path / "lib.csv"
-        write_field_csv(evaluate_field(solve_first_order(pf.problem), pf.nx, pf.nt), golden)
+        write_field_csv(evaluate_field(solve_first_order(pf.solution.problem), pf.nx, pf.nt), golden)
         assert default.read_bytes() == golden.read_bytes()
 
     def test_runs_are_byte_identical(self, tmp_path):

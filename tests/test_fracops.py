@@ -484,6 +484,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             Samples1D(0.0, 0.1, np.array([0.0, math.nan, 1.0]))
 
+    def test_samples_reject_fewer_than_three_values(self):
+        with pytest.raises(DomainError, match="at least 3 values"):
+            Samples1D(0.0, 0.1, np.zeros(2))
+
     def test_samples_reject_bad_spacing(self):
         with pytest.raises(DomainError):
             Samples1D(0.0, 0.0, np.zeros(9))

@@ -84,6 +84,16 @@ class TestWaveProblem:
         with pytest.raises(DomainError):
             WaveProblem(FractionalOrder(0.5), 1.0, parse("0"), parse("0"), 0.0, 1.0)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"c": -1.0}, "wave speed c must be finite and > 0, got -1.0"),
+        ({"c": math.nan}, "wave speed c must be finite and > 0, got nan"),
+        ({"x_max": math.nan}, "x_max and t_max must be positive, got x_max = nan, t_max = 2.0"),
+        ({"t_max": -1.0}, "x_max and t_max must be positive, got x_max = 6.0, t_max = -1.0"),
+    ])
+    def test_messages_name_the_values(self, overrides, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            problem(0.5, **overrides)
+
     def test_rejects_profile_unevaluable_on_argument_range(self):
         # sqrt profile cannot take the negative arguments reached for t > 0
         with pytest.raises(EvaluationError):
@@ -118,6 +128,14 @@ class TestClassicalLimit:
         assert (xp, tp) == (x, t)
         arr = np.array([x, t])
         assert self.CLASSICAL.scaled_coords(arr, arr)[0].tobytes() == arr.tobytes()
+
+
+class TestClosedFormSolution:
+    def test_rejects_unknown_kind(self):
+        # a kind other than the two is refused, not evaluated as d'Alembert
+        with pytest.raises(DomainError,
+                           match="equation must be 'dalembert' or 'first_order', got 'heat'"):
+            solver.ClosedFormSolution("heat", problem(0.5))
 
 
 class TestSolveFirstOrder:
@@ -157,6 +175,11 @@ class TestNonFiniteCoordinates:
 class TestCharacteristicConstant:
     def test_origin(self):
         assert characteristic_constant(0.0, 0.0, 0.7, 1.0) == 0.0
+
+    @pytest.mark.parametrize("x, t", [(-1.0, 0.0), (0.0, -1.0)])
+    def test_rejects_negative_coordinates(self, x, t):
+        with pytest.raises(DomainError, match="x >= 0, t >= 0"):
+            characteristic_constant(x, t, 0.7, 1.0)
 
     def test_classical(self):
         assert characteristic_constant(5.0, 2.0, 1.0, 1.0) == pytest.approx(3.0, rel=1e-14)
@@ -325,6 +348,14 @@ class TestEvaluateField:
     def test_rejects_degenerate_grids(self):
         with pytest.raises(DomainError):
             evaluate_field(solve_dalembert(problem(0.5)), 1, 5)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((3, 2)), r"field shape \(3, 2\) does not match grids \(2, 3\)"),
+        (np.full((2, 3), math.inf), "field contains non-finite values"),
+    ])
+    def test_field_rejects_bad_values(self, values, message):
+        with pytest.raises(DomainError, match=message):
+            solver.Field2D(np.zeros(3), np.zeros(2), values)
 
 
 def rate_profile(name, k):

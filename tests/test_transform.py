@@ -19,6 +19,19 @@ def spec(alpha, p=1.0, q=1.0):
     return TransformSpec(FractionalOrder(alpha), p, q)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("p, q, named", [(0.0, 1.0, "space"), (-1.0, 1.0, "space"),
+                                             (1.0, 0.0, "time"), (1.0, -2.0, "time")])
+    def test_spec_rejects_non_positive_scale_factors(self, p, q, named):
+        with pytest.raises(DomainError, match=f"{named} scale factor"):
+            spec(0.5, p, q)
+
+    @pytest.mark.parametrize("X, T", [(-1.0, 0.0), (0.0, -1.0)])
+    def test_coords_reject_negative_values(self, X, T):
+        with pytest.raises(DomainError, match="non-negative"):
+            FractalCoords(X, T)
+
+
 class TestToFractal:
     def test_origin_maps_to_origin(self):
         coords = to_fractal(0.0, 0.0, spec(0.6))

@@ -1,12 +1,14 @@
 import dataclasses
 import functools
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracwave.core import DomainError, FractionalOrder, gamma
+from fracwave.core import DomainError, FractionalOrder, QuadratureError, gamma
 from fracwave.expr import parse
 from fracwave import solver, verify
 from fracwave.cli import load_problem_file
@@ -38,6 +40,13 @@ class TestInitialConditions:
         assert report.position_max_error <= 1e-10
         assert report.position_pass
         assert report.passed
+
+    def test_non_finite_subject_is_refused(self):
+        # a position error of inf would reach the report as invalid JSON
+        prob = example_problem(0.9)
+        subject = verify.CallableSolution(lambda x, t: np.full_like(x, math.inf))
+        with pytest.raises(QuadratureError, match=r"u\(x, 0\) is not finite"):
+            check_initial_conditions(prob, subject)
 
     def test_velocity_check_recovers_g(self):
         for alpha in (0.5, 0.8, 1.0):
@@ -117,6 +126,15 @@ class TestCandidateForms:
             position = check_initial_conditions(prob, form).position_max_error
             assert cmp_report.ic_max_error[name].hex() == position.hex()
 
+    def test_non_finite_comparison_is_refused(self):
+        # 1 / c^a overflows at the smallest subnormal c: the cos form is inf
+        # at t = 0, and no NumPy warning precedes the refusal
+        prob = example_problem(1.0, c=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="candidate form 'cos_product'"):
+                compare_candidate_forms(prob, solve_dalembert(prob))
+
     def test_example1_shape_recognized(self):
         prob = example_problem(0.7, example=1)
         forms = candidate_product_forms(prob)
@@ -161,6 +179,20 @@ class TestPdeResidual:
         with pytest.raises(DomainError):
             pde_residual(prob, solve_dalembert(prob), 16, 16)
 
+    def test_rejects_no_levels(self):
+        prob = example_problem(0.7)
+        with pytest.raises(DomainError, match="at least one refinement level"):
+            pde_residual(prob, solve_dalembert(prob), 32, 32, levels=0)
+
+    @pytest.mark.parametrize("x_max, t_max, named", [
+        (5e-324, TWO_PI, "x_max / 128 = 0"),
+        (TWO_PI, 1e-306, "t_max / 128 = 7.81e-309"),  # subnormal: 1 / (2 h) overflows
+    ])
+    def test_rejects_spacing_below_a_normal_double(self, x_max, t_max, named):
+        prob = example_problem(1.0, x_max=x_max, t_max=t_max)
+        with pytest.raises(DomainError, match=re.escape(f"residual grid spacing {named} is not")):
+            pde_residual(prob, solve_dalembert(prob), 32, 32, levels=3)
+
 
 def grid_residual(problem, u):
     """One level of the residual study from its own evaluated grid
@@ -203,17 +235,18 @@ def per_level_residuals(problem, sol, nx, nt, levels):
 
 def shipped_case(name):
     pf = load_problem_file(PROBLEMS / f"{name}.yaml")
-    return pf.problem, solve_dalembert(pf.problem, pf.tol)
+    return pf.solution.problem, solve_dalembert(pf.solution.problem, pf.solution.tol)
 
 
 def non_square_case():
     # nx != nt and x_max != t_max, so the two axes need different operators
-    prob = dataclasses.replace(load_problem_file(PROBLEMS / "example1.yaml").problem, x_max=5.0)
+    prob = dataclasses.replace(load_problem_file(PROBLEMS / "example1.yaml").solution.problem,
+                               x_max=5.0)
     return prob, solve_dalembert(prob)
 
 
 def sin_product_case():
-    prob = load_problem_file(PROBLEMS / "example2.yaml").problem
+    prob = load_problem_file(PROBLEMS / "example2.yaml").solution.problem
     return prob, candidate_product_forms(prob)["sin_product"]
 
 
