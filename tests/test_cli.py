@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -386,9 +387,31 @@ class TestInputErrors:
         assert capsys.readouterr().out.startswith("usage: fracwave solve")
 
 
-# argv drawn from a fixed vocabulary: a valid command line with small grids,
-# then up to three of its entries replaced by another value (valid, junk, or
-# None to leave it out); "problem" is the positional argument
+# one input to the cli: a problem file under a command line, each drawn as a
+# valid one with up to three entries replaced.  The file is the example1
+# shape on a 9 x 9 grid; a key is replaced by another valid value, a wrong
+# type, a number at the edge of a double or of the key's range, a deep or
+# long expression, or None to leave the key out; "extra" is an unknown key.
+# The command line is a valid one per command with small grids; an entry is
+# replaced by another value (valid, junk, or None to leave it out), and
+# "problem", the positional argument, is the drawn file unless replaced
+BEYOND_A_DOUBLE = "1" + "0" * 400
+NUMBERS = ["0.5", "1.0", "0", "-1.0", "4.9e-324", "1.0e+300", ".inf", ".nan", BEYOND_A_DOUBLE,
+           '"1e3"', "true", "[1]", None]
+EXPRESSIONS = ['"x^2"', '"0"', '"1e308"', '"1/(x-1)"', '"exp(800*x)"', '"sin("', "3", None,
+               f'"{"(" * 127}x{")" * 127}"', f'"{"(" * 400}x{")" * 400}"',
+               '"' + "+".join(["x"] * 5000) + '"']
+GRIDS = ["2", "1", "-3", "9.0", "true", BEYOND_A_DOUBLE, None]
+FILE_VALUES = {
+    "schema_version": ["2", "true", None],
+    "alpha": NUMBERS, "c": NUMBERS, "x_max": NUMBERS, "t_max": NUMBERS,
+    "f": EXPRESSIONS, "g": EXPRESSIONS,
+    "nx": GRIDS, "nt": GRIDS,
+    "equation": ["first_order", "dalembert", "heat", "[1]"],
+    "quadrature": ["{abs_tol: 1.0e-6}", "{abs_tol: 1.0e+300}", "{abs_tol: 4.9e-324}",
+                   "{abs_tol: .nan}", "{abs_tol: -1.0}", "{rel_tol: 1.0e-6}", "5"],
+    "extra": ["1"],
+}
 VALID_ARGS = {
     "solve": {"--out": "out.csv", "--nx": "9", "--nt": "9"},
     "verify": {"--out": "out.json", "--nx": "32", "--nt": "32"},
@@ -409,16 +432,34 @@ OTHER_VALUES = {
 
 
 @st.composite
-def cli_argv(draw):
+def cli_inputs(draw):
+    """(the keys that replace the file's, argv)"""
+    keys = draw(st.lists(st.sampled_from(sorted(FILE_VALUES)), max_size=3))
+    overrides = {key: draw(st.sampled_from(FILE_VALUES[key])) for key in keys}
     command = draw(st.sampled_from(sorted(VALID_ARGS)))
     args = dict(VALID_ARGS[command])
     if command not in ("figures", "bogus"):
-        args["problem"] = str(draw(st.sampled_from(SHIPPED)))
+        args["problem"] = "p.yaml"
     for key in draw(st.lists(st.sampled_from(sorted(OTHER_VALUES)), max_size=3)):
         args[key] = draw(st.sampled_from(OTHER_VALUES[key]))
     argv = [command] + ([args.pop("problem")] if args.get("problem") else [])
-    return argv + [token for flag, value in args.items() if value is not None
-                   for token in (flag, value)]
+    return overrides, argv + [token for flag, value in args.items() if value is not None
+                              for token in (flag, value)]
+
+
+def pin_overflow_files(test):
+    """The files of the bugs this property found, each under the three
+    command lines that found them: 1 / c^a overflows in the candidate forms,
+    the residual spacing underflows to 0, and the velocity table's prefix sum
+    and its rounding floor overflow."""
+    for overrides in ({"alpha": "1.0", "c": "4.9e-324"}, {"x_max": "4.9e-324"},
+                      {"g": '"1e308"', "quadrature": "{abs_tol: 1.0e+300}"},
+                      {"c": "1.0e+300", "f": '"0"', "g": '"1e308"'}):
+        for argv in (["solve", "p.yaml", "--out", "out.csv"],
+                     ["verify", "p.yaml", "--nx", "32", "--nt", "32", "--out", "out.json"],
+                     ["sweep", "p.yaml", "--alphas", "0.5,1", "--out", "out"]):
+            test = example(inputs=(overrides, argv))(test)
+    return test
 
 
 def assert_documented_exit(rc: int, err: str, context) -> None:
@@ -434,84 +475,32 @@ def assert_documented_exit(rc: int, err: str, context) -> None:
         assert lines[0].startswith(("error:", "numerical failure:", "i/o error:")), (context, err)
 
 
-class TestEveryArgvMapsToAnExitCode:
-    @settings(max_examples=400, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(argv=cli_argv())
-    def test_documented_code_and_one_line(self, tmp_path, monkeypatch, capsys, argv):
-        # every output path is relative, so the command writes under tmp_path
-        monkeypatch.chdir(tmp_path)
-        capsys.readouterr()
-        rc = main(argv)
-        assert_documented_exit(rc, capsys.readouterr().err, argv)
-
-
-# problem files drawn as a valid one (the example1 shape on a 9 x 9 grid)
-# with up to three keys replaced: by another valid value, a wrong type, a
-# number at the edge of a double or of the key's range, a deep or long
-# expression, or None to leave the key out; "extra" is an unknown key
-BEYOND_A_DOUBLE = "1" + "0" * 400
-NUMBERS = ["0.5", "1.0", "0", "-1.0", "4.9e-324", "1.0e+300", ".inf", ".nan", BEYOND_A_DOUBLE,
-           '"1e3"', "true", "[1]", None]
-EXPRESSIONS = ['"x^2"', '"0"', '"1e308"', '"1/(x-1)"', '"exp(800*x)"', '"sin("', "3", None,
-               f'"{"(" * 127}x{")" * 127}"', f'"{"(" * 400}x{")" * 400}"',
-               '"' + "+".join(["x"] * 5000) + '"']
-GRIDS = ["2", "1", "-3", "9.0", "true", BEYOND_A_DOUBLE, None]
-FILE_VALUES = {
-    "schema_version": ["2", "true", None],
-    "alpha": NUMBERS, "c": NUMBERS, "x_max": NUMBERS, "t_max": NUMBERS,
-    "f": EXPRESSIONS, "g": EXPRESSIONS,
-    "nx": GRIDS, "nt": GRIDS,
-    "equation": ["first_order", "dalembert", "heat", "[1]"],
-    "quadrature": ["{abs_tol: 1.0e-6}", "{abs_tol: 1.0e+300}", "{abs_tol: 4.9e-324}",
-                   "{abs_tol: .nan}", "{abs_tol: -1.0}", "{rel_tol: 1.0e-6}", "5"],
-    "extra": ["1"],
-}
-FILE_COMMANDS = {
-    "solve": ["--out", "out.csv"],
-    "verify": ["--nx", "32", "--nt", "32", "--out", "out.json"],
-    "sweep": ["--alphas", "0.5,1", "--out", "out"],
-}
-
-
-@st.composite
-def problem_overrides(draw):
-    keys = draw(st.lists(st.sampled_from(sorted(FILE_VALUES)), max_size=3))
-    return {key: draw(st.sampled_from(FILE_VALUES[key])) for key in keys}
-
-
 def _reject_constant(name):
     raise ValueError(f"report holds {name}, which is not JSON")
 
 
 class TestEveryProblemFileMapsToAnExitCode:
-    @settings(max_examples=200, deadline=None, derandomize=True,
+    @settings(max_examples=500, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(overrides=problem_overrides())
-    # the files of the bugs this property found: 1 / c^a overflows in the
-    # candidate forms, the residual spacing underflows to 0, and the velocity
-    # table's prefix sum and its rounding floor overflow
-    @example(overrides={"alpha": "1.0", "c": "4.9e-324"})
-    @example(overrides={"x_max": "4.9e-324"})
-    @example(overrides={"g": '"1e308"', "quadrature": "{abs_tol: 1.0e+300}"})
-    @example(overrides={"c": "1.0e+300", "f": '"0"', "g": '"1e308"'})
+    @given(inputs=cli_inputs())
+    @pin_overflow_files
     def test_documented_code_one_line_and_no_warning(self, tmp_path, monkeypatch, capsys,
-                                                     overrides):
-        monkeypatch.chdir(tmp_path)
-        write_problem(tmp_path / "p.yaml", **({"alpha": "0.9", "nx": 9, "nt": 9} | overrides))
-        for command, flags in FILE_COMMANDS.items():
-            argv = [command, "p.yaml", *flags]
-            capsys.readouterr()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rc = main(argv)
-            assert_documented_exit(rc, capsys.readouterr().err, (overrides, argv))
-            assert [str(w.message) for w in caught] == [], (overrides, argv)
-            report = tmp_path / "out.json"
-            if report.exists():
-                assert rc in (EXIT_OK, EXIT_VERIFY), (overrides, argv)
-                json.loads(report.read_text(), parse_constant=_reject_constant)
-                report.unlink()
+                                                     inputs):
+        # a directory per draw: every output path is relative, and no draw
+        # reads what another wrote
+        monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+        overrides, argv = inputs
+        write_problem(Path("p.yaml"), **({"alpha": "0.9", "nx": 9, "nt": 9} | overrides))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert_documented_exit(rc, capsys.readouterr().err, inputs)
+        assert [str(w.message) for w in caught] == [], inputs
+        report = Path("out.json")
+        if report.exists():
+            assert rc in (EXIT_OK, EXIT_VERIFY), inputs
+            json.loads(report.read_text(), parse_constant=_reject_constant)
 
     @pytest.mark.parametrize("overrides, argv, message", [
         pytest.param({"alpha": "1.0", "c": "4.9e-324"}, ["verify"],
