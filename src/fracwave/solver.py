@@ -36,7 +36,8 @@ that [0, x_max] x [0, t_max] reaches; outside it A raises DomainError:
   (|integral of T_k| <= 2k / (k^2 - 1), doubled for aliasing).  A difference
   spans at most every cell plus two partial reads, so it stays within
   abs_tol plus the cells' rounding terms and the rounding of G's sums.
-- Refusals, before any cell is interpolated past its knots: an abs_tol below
+- Refusals, before any knot is laid: a span whose width is not a finite
+  double.  Before any cell is interpolated past its knots: an abs_tol below
   eps h max|g at the knots|, the rounding floor of doubles.  After the
   ladder: a cell that fails at the top degree, named.
 - Consequence: the first dalembert evaluation integrates g over the whole
@@ -80,11 +81,14 @@ def _velocity_table(
     A failure names g and [lo, hi]; the exception keeps its type and
     attributes."""
     fn = functools.partial(evaluate, g)  # per call: a wrapper installed on evaluate sees it
-    knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
-    half = 0.5 * np.diff(knots)  # each cell's own: a rounded common width would drift
-    h = knots[1] - knots[0]
     eps = np.finfo(float).eps
     try:
+        if not math.isfinite(hi - lo):
+            raise QuadratureError(f"its width {hi - lo} is not a finite double, so no "
+                                  "knots fit on it")
+        knots = np.linspace(lo, hi, _TABLE_CELLS + 1)
+        half = 0.5 * np.diff(knots)  # each cell's own: a rounded common width would drift
+        h = knots[1] - knots[0]
         at_knots = fn(knots)
         floor = eps * h * np.abs(at_knots).max()
         if tol.abs_tol < floor:
@@ -181,10 +185,11 @@ class WaveProblem:
                               f"t_max = {self.t_max!r}")
         with np.errstate(over="ignore"):
             lo, hi = self.scaled_argument_range()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        if not math.isfinite(hi - lo):  # finite ends too, and room for the velocity table
             raise DomainError(
                 f"scaled argument range [{lo}, {hi}] overflows a double: wave speed "
-                f"c = {self.speed!r} with x_max = {self.x_max!r}, t_max = {self.t_max!r}"
+                f"c = {self.speed!r} with x_max = {self.x_max!r}, t_max = {self.t_max!r}; "
+                f"its width is {hi - lo}"
             )
         for profile in (self.f, self.g):
             evaluate(profile, np.array([lo, 0.0, hi]))  # reject unevaluable profiles early

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import fracwave
 from fracwave.cli import (
     EXIT_INPUT,
     EXIT_IO,
@@ -239,18 +243,25 @@ class TestProblemFile:
         accepted = write_problem(path, c="1.0e+300", f='"0"', g='"0"')
         assert load_problem_file(accepted).solution.problem.speed == 1e300
 
-    def test_overflowing_argument_range_rejected(self, tmp_path, capsys):
-        # c^a T' overflows a double: the speed and horizon are named, no
-        # RuntimeWarning escapes and the profiles are never blamed
-        path = write_problem(tmp_path / "p.yaml", alpha=1.0, c="1.0e+300", t_max="1.0e+300")
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"t_max": "1.0e+300"}, id="infinite_end"),
+        # both ends, -1e308 and 1e308, are finite, but not the width
+        pytest.param({"x_max": "1.0", "t_max": "1.0e+8", "f": '"0"'}, id="infinite_width"),
+    ])
+    def test_overflowing_argument_range_rejected(self, tmp_path, capsys, overrides):
+        # c^a T' or the range's width overflows a double: the speed and
+        # horizon are named, no RuntimeWarning escapes and the profiles are
+        # never blamed
+        path = write_problem(tmp_path / "p.yaml", alpha=1.0, c="1.0e+300", **overrides)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["solve", str(path), "--out", str(tmp_path / "o.csv")])
         assert rc == EXIT_INPUT
         assert caught == []
         err = capsys.readouterr().err
+        assert_one_error_line(err)
         assert "overflows a double: wave speed c = 1e+300" in err
-        assert "t_max = 1e+300" in err and "sub-expression" not in err
+        assert f"t_max = {float(overrides['t_max'])!r}" in err and "sub-expression" not in err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("key", ["abs_tol"])
@@ -1026,3 +1037,24 @@ class TestGridFlagValidation:
         assert main(["solve", str(path), "--out", out]) == EXIT_INPUT
         assert_one_error_line(capsys.readouterr().err)
         assert main(["verify", str(path), "--out", out]) == EXIT_OK
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_main(self, tmp_path):
+        # `python -m fracwave.cli` is the command the benchmark times; the
+        # child imports fracwave from where this process did, by an absolute
+        # path, since a relative PYTHONPATH would not hold in its directory
+        env = os.environ | {"PYTHONPATH": str(Path(fracwave.__file__).resolve().parent.parent)}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "fracwave.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True)
+
+        path, flags = SHIPPED[0].parent / "example1.yaml", ["--nx", "9", "--nt", "9"]
+        child = run("solve", str(path), *flags, "--out", "child.csv")
+        assert (child.returncode, child.stderr) == (EXIT_OK, "")
+        assert main(["solve", str(path), *flags, "--out", str(tmp_path / "main.csv")]) == EXIT_OK
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+        child = run("bogus")
+        assert child.returncode == EXIT_INPUT
+        assert_one_error_line(child.stderr)

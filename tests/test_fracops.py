@@ -405,6 +405,7 @@ class TestGridOperator:
         samples = Samples1D(0.0, 0.25, np.linspace(0.0, 2.0, 9))
         out = jumarie_derivative_grid(samples, 0.5)
         assert out.dx == samples.dx and out.x0 == 0.0
+        assert out.grid.tolist() == [0.25 * k for k in range(9)]
 
     def test_requires_anchor_at_zero(self):
         with pytest.raises(DomainError):

@@ -58,5 +58,12 @@ def test_import_reader_sees_every_form():
     assert package_imports("def f():\n    from .cli import main\n") == {"cli"}
 
 
+def test_every_public_name_resolves_once():
+    # the names re-exported from the package keep working
+    assert len(set(fracwave.__all__)) == len(fracwave.__all__)
+    for name in fracwave.__all__:
+        getattr(fracwave, name)
+
+
 def test_quadrature_error_has_one_class():
     assert fracwave.QuadratureError is fracops.QuadratureError is core.QuadratureError

@@ -74,6 +74,13 @@ class TestGIntegral:
         with pytest.raises(EvaluationError, match=r"velocity profile g = .* on \[0, 2\]"):
             g_integral(parse("1/(x-1)"), 0.0, 2.0)
 
+    def test_span_wider_than_a_double_refused(self):
+        # both ends are finite, but no knots fit between them: the span is
+        # named, not g
+        with pytest.raises(QuadratureError, match=r"g = sin\(x\) on \[-1e\+308, 1e\+308\]: "
+                                                  "its width inf is not a finite double"):
+            g_integral(parse("sin(x)"), -1e308, 1e308)
+
 
 class TestWaveProblem:
     def test_rejects_nonpositive_speed(self):

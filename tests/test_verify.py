@@ -347,9 +347,10 @@ class TestStability:
         p = example_problem(0.8, x_max=4.0, t_max=2.0)
         q = example_problem(0.8, x_max=4.0, t_max=2.0)
         report = stability_check(p, q, 17, 17)
-        assert report.delta == 0.0
-        assert report.observed_gap == 0.0
-        assert report.satisfied_paper and report.satisfied_derived
+        assert report.to_dict() == {
+            "delta": 0.0, "horizon": 2.0, "observed_gap": 0.0, "bound_paper": 0.0,
+            "bound_derived": 0.0, "satisfied_paper": True, "satisfied_derived": True,
+        }
 
     def test_constant_shift_of_f_passes_through(self):
         base = example_problem(0.8, x_max=4.0, t_max=2.0)
