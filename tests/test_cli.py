@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,8 @@ from fracwave.cli import (
     MAX_GRID_POINTS,
     ProblemFileError,
     load_problem_file,
+    _G17_BLOCK,
+    format_g17,
     main,
     write_field_csv,
 )
@@ -220,6 +223,23 @@ class TestProblemFile:
         assert main(["solve", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "unacceptable character #x00e9" in err
+
+    @pytest.mark.parametrize("data, problem", [
+        (b"schema_version: 1\nalpha: [\n",
+         "expected the node content, but found '<stream end>' at line 3, column 1"),
+        (b"schema_version: 1\n\talpha: 0.8\n",
+         "found character '\\t' that cannot start any token at line 2, column 1"),
+        (b'schema_version: 1\nf: "x\xe9"\n',
+         "unacceptable character #x00e9: invalid continuation byte at position 23"),
+    ], ids=["unclosed_flow_node", "tab_before_key", "latin1_byte"])
+    def test_malformed_yaml_is_one_error_line(self, tmp_path, capsys, data, problem):
+        # YAML's problem and where it was found, without its context and caret lines
+        path = tmp_path / "p.yaml"
+        path.write_bytes(data)
+        assert main(["solve", str(path), "--out", str(tmp_path / "o.csv")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err == f"error: {path} is not well-formed: {problem}\n"
 
     @pytest.mark.parametrize("key", ["alpha", "c", "x_max", "t_max", "abs_tol"])
     def test_integer_beyond_a_double_exits_2(self, tmp_path, capsys, key):
@@ -591,6 +611,35 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+def percent_g17(values) -> bytes:
+    return "".join("%.17g\n" % v for v in np.asarray(values, dtype=float).tolist()).encode()
+
+
+# powers of ten whose nearest double lies below them and rounds up to them at
+# 17 significant digits: the kernel's digits carry into an 18th
+ROUNDS_UP_TO_A_POWER = [(k, float(f"1e{k}")) for k in (-305, -243, -176, -14, 98, 220)]
+
+
+def g17_edge_cases(rng) -> np.ndarray:
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    max_double = np.finfo(float).max
+    tiny = np.finfo(float).tiny
+    bounds = np.array([1e-270, 1e270])  # the ends of the kernel's fast range
+    integers = rng.integers(2**53, 2**63, 4096, dtype=np.int64)
+    # exact ties at the 17th digit: n.25 with 16 integer digits, n.125 with 15
+    ties = np.concatenate([rng.integers(10**15, 2 * 10**15, 256) + 0.25,
+                           rng.integers(10**14, 9 * 10**14, 256) + 0.125])
+    values = np.concatenate([
+        [0.0, max_double, tiny, np.nextafter(tiny, 0.0), 5e-324],
+        rng.integers(1, 2**52, 512) * 5e-324,  # subnormals
+        bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [value for _, value in ROUNDS_UP_TO_A_POWER],
+        integers, np.nextafter(integers.astype(float), np.inf), ties,
+    ])
+    return np.concatenate([values, -values])
+
+
 class TestWriteFieldCsv:
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(field=fields())
@@ -608,6 +657,33 @@ class TestWriteFieldCsv:
         assert np.array_equal(bits(data[:, 0]), bits(xx.ravel()))
         assert np.array_equal(bits(data[:, 1]), bits(tt.ravel()))
         assert np.array_equal(bits(data[:, 2]), bits(field.values.ravel()))
+
+    def test_g17_kernel_matches_percent_format(self):
+        rng = np.random.default_rng(20261021)
+        patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(float)
+        patterns = patterns[np.isfinite(patterns)]
+        assert patterns.size > 199_000
+        for values in (patterns, g17_edge_cases(rng)):
+            assert format_g17(values) == percent_g17(values)
+
+    def test_g17_edge_cases_reach_the_carry(self):
+        for k, value in ROUNDS_UP_TO_A_POWER:
+            assert Fraction(value) < Fraction(10) ** k == Fraction("%.17g" % value)
+
+    @pytest.mark.parametrize("nx, nt", [(_G17_BLOCK + 5, 3), (100, 2 * _G17_BLOCK // 100 + 3)],
+                             ids=["level_beyond_a_block", "partial_last_block"])
+    def test_blocks_match_per_point_reference(self, tmp_path, nx, nt):
+        rng = np.random.default_rng(nx)
+        scale = 10.0 ** rng.integers(-30, 30, (nt, nx))
+        field = Field2D(rng.normal(size=nx), rng.normal(size=nt), rng.normal(size=(nt, nx)) * scale)
+        out = tmp_path / "f.csv"
+        write_field_csv(field, out)
+        reference = b"x,t,u\n" + b"".join(
+            b"%.17g,%.17g,%.17g\n" % (x, t, u)
+            for t, row in zip(field.t.tolist(), field.values.tolist())
+            for x, u in zip(field.x.tolist(), row)
+        )
+        assert out.read_bytes() == reference
 
     def test_golden_format(self, tmp_path):
         # header x,t,u; x varies fastest; 17 significant digits with trailing
