@@ -225,8 +225,8 @@ def write_field_csv(field: Field2D, path: str | Path) -> None:
 # _g17_words gives each value 48 bytes, six little-endian uint64 words, with its
 # '%.17g' text and a newline in fixed slots and NUL in the slots it leaves unused:
 #   word 0     sign, "0.000" (exponents -1 to -4 take 2 to 5 of it), digit 0, dot
-#   words 1-4  digits 1 to 16, each followed by a dot slot; byte 39 holds 'e'
-#   word 5     the exponent's sign and two or three digits, then "\n"
+#   words 1-4  digits 1 to 16, each followed by a dot slot (the last never used)
+#   word 5     'e', the exponent's sign and two or three digits, then "\n"
 # Deleting the NULs (bytes.translate) leaves the text.  The 17 digits come from
 # |v| * 10^(16 - e) in double-double arithmetic: an exact product with a (hi, lo)
 # power of ten, rounded once.  A value that this cannot decide exactly -- zero,
@@ -271,10 +271,6 @@ def _g17_tables() -> SimpleNamespace:
     digit = [48 + g // 10 ** (3 - m) % 10 for m in range(4)]
     sig = 4 - sum(g % 10**m == 0 for m in range(1, 4)) - (g == 0)  # digits to the last nonzero
     n = np.arange(17)
-    dot = np.zeros((5, 17), _U64)  # dot[w][j + 1]: '.' after digit j; column 0 is none
-    dot[0, 1] = _U64(ord(".") << 56)
-    for j in range(1, 16):
-        dot[(j + 3) // 4, j + 1] = _U64(ord(".") << (16 * ((j - 1) % 4) + 8))
     e = np.arange(-_E_OFF, 310)
     lead = (e < 0) & (e >= -4)
     sci = (e < -4) | (e >= 17)
@@ -288,10 +284,10 @@ def _g17_tables() -> SimpleNamespace:
         # keep[w][last]: the mask of word w + 1's digits up to digit `last`
         keep=[_pack([(4 * w + m // 2 < n) * 255 * (m % 2 == 0) for m in range(8)])
               for w in range(4)],
-        dot=dot,
+        # word 0 without its sign: prefix[e + _E_OFF] | first[digit 0]
         prefix=_pack([0 * e, lead * 48, lead * 46, *((e <= -m) * lead * 48 for m in (2, 3, 4))]),
-        e_mark=sci * _U64(ord("e") << 56),
-        exponent=_pack([sci * np.where(e < 0, 45, 43), sci * (ae >= 100) * (48 + ae // 100),
+        first=(np.arange(48, 58, dtype=_U64) << _U64(48)),
+        exponent=_pack([sci * 101, sci * np.where(e < 0, 45, 43), sci * (ae >= 100) * (48 + ae // 100),
                         sci * (48 + ae // 10 % 10), sci * (48 + ae % 10), 0 * e + 10]),
     )
 
@@ -333,8 +329,9 @@ def _g17_words(v: np.ndarray) -> np.ndarray:
         p[off], r[off] = _scaled(tab, a[off], a_hi[off], a_lo[off], e[off])
         off = off[_outside(p[off], r[off])]
     slow[off] = True
-    slow |= np.abs(r - np.floor(r) - 0.5) < 1e-6
-    d = p.astype(np.int64) + np.rint(r).astype(np.int64)  # the 17 significant digits
+    q = np.rint(r)
+    slow |= np.abs(r - q) > 0.5 - 1e-6  # near a tie
+    d = p.astype(np.int64) + q.astype(np.int64)  # the 17 significant digits
     carry = d == 10**17
     d[carry] = 10**16
     e += carry
@@ -342,19 +339,19 @@ def _g17_words(v: np.ndarray) -> np.ndarray:
     d0, rest = _divmod(d, 10**16)
     top, bottom = _divmod(rest, 10**8)
     groups = (*_divmod(top, 10**4), *_divmod(bottom, 10**4))  # digits 1-4, ..., 13-16
-    last = np.maximum.reduce([tab.last[w][g] for w, g in enumerate(groups)])
-    fixed = (e >= -4) & (e < 17)  # written without an exponent, integer part in full
-    last = np.where(fixed, np.maximum(last, e), last)
+    last = functools.reduce(np.maximum, (tab.last[w][g] for w, g in enumerate(groups)))
+    fixed = (e >= -4) & (e < 17)  # written without an exponent
     dot = np.where(fixed, e, 0)  # the digit the '.' follows, if a digit follows it
-    dot = np.where((last > dot) & (dot >= 0), dot + 1, 0)
+    last = np.maximum(last, dot)  # the integer part is written in full
+    dotted = np.flatnonzero((last > dot) & (dot >= 0))
     ei = e + _E_OFF
-    words = np.empty((v.size, _G17_WIDTH // 8), _U64)
-    words[:, 0] = (np.signbit(v) * _U64(ord("-")) | tab.prefix[ei]
-                   | (d0.astype(_U64) + _U64(48)) << _U64(48) | tab.dot[0][dot])
+    words = np.empty((v.size, _G17_WIDTH // 8), "<u8")  # byte m of a word is memory byte m
+    words[:, 0] = np.signbit(v) * _U64(ord("-")) | tab.prefix[ei] | tab.first[d0]
     for w, g in enumerate(groups):
-        words[:, w + 1] = tab.group[g] & tab.keep[w][last] | tab.dot[w + 1][dot]
-    words[:, 4] |= tab.e_mark[ei]
+        np.bitwise_and(tab.group[g], tab.keep[w][last], out=words[:, w + 1])
     words[:, 5] = tab.exponent[ei]
+    # digit j's dot slot is byte 7 + 2 j of its value's 48
+    words.view(np.uint8).reshape(-1)[dotted * _G17_WIDTH + 7 + 2 * dot[dotted]] = ord(".")
     for i in np.flatnonzero(slow).tolist():
         row = words[i].view(np.uint8)
         text = b"%.17g\n" % v[i]
