@@ -23,13 +23,12 @@ from fracwave.cli import (
     MAX_GRID_POINTS,
     ProblemFileError,
     load_problem_file,
-    _G17_BLOCK,
-    format_g17,
     main,
     write_field_csv,
 )
 from fracwave.core import FractionalOrder, Tolerance
 from fracwave.expr import MAX_TOKENS, parse
+from fracwave.fieldcsv import BLOCK, format_g17
 from fracwave.solver import (
     MIN_GRID_POINTS,
     Field2D,
@@ -670,7 +669,7 @@ class TestWriteFieldCsv:
         for k, value in ROUNDS_UP_TO_A_POWER:
             assert Fraction(value) < Fraction(10) ** k == Fraction("%.17g" % value)
 
-    @pytest.mark.parametrize("nx, nt", [(_G17_BLOCK + 5, 3), (100, 2 * _G17_BLOCK // 100 + 3)],
+    @pytest.mark.parametrize("nx, nt", [(BLOCK + 5, 3), (100, 2 * BLOCK // 100 + 3)],
                              ids=["level_beyond_a_block", "partial_last_block"])
     def test_blocks_match_per_point_reference(self, tmp_path, nx, nt):
         rng = np.random.default_rng(nx)
