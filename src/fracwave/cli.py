@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .core import DomainError, FractionalOrder, QuadratureError, Tolerance
