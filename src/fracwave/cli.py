@@ -127,8 +127,9 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
     mark = getattr(exc, "problem_mark", None)
     if getattr(exc, "problem", None) and mark is not None:
         return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
-    # the reader's (an undecodable or unprintable character) has a position, no mark
-    return f"{str(exc).splitlines()[0]} at position {exc.position}"
+    if isinstance(exc, yaml.reader.ReaderError):  # an undecodable or unprintable character
+        return f"{str(exc).splitlines()[0]} at position {exc.position}"
+    return " ".join(str(exc).split())
 
 
 def load_problem_file(path: str | Path) -> ProblemFile:

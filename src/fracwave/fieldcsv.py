@@ -1,12 +1,14 @@
 """The text of a field CSV: '%.17g' for blocks of doubles, formatted with NumPy.
 
-Every value's bytes are those of '%.17g' % v.  _words gives each value 48
-bytes, six little-endian uint64 words, with its text and a newline in fixed
+Every value's bytes are those of '%.17g' % v.  _words gives each value 32
+bytes, four little-endian uint64 words, with its text and a newline in fixed
 slots and NUL in the slots it leaves unused:
 
     word 0     sign, "0.000" (exponents -1 to -4 take 2 to 5 of it), digit 0, dot
-    words 1-4  digits 1 to 16, each followed by a dot slot (the last never used)
-    word 5     'e', the exponent's sign and two or three digits, then "\\n"
+    words 1-2  digits 1 to 16; a dot after digit j (1-15) is inserted by
+               shifting the digits after it one byte on
+    word 3     the digit that shift pushes out, 'e', the exponent's sign and
+               two or three digits, then "\n"
 
 Deleting the NULs (bytes.translate) leaves the text.  The 17 digits come from
 |v| * 10^(16 - e) in double-double arithmetic: an exact product with a (hi, lo)
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 BLOCK = 4096  # values formatted at once
-_WIDTH = 48  # bytes per value
+_WIDTH = 32  # bytes per value
 _FAST_MIN, _FAST_MAX = 1e-270, 1e270  # |v| the scaling takes: no split overflows, no product underflows
 _K_MIN, _K_MAX = -255, 289  # the table's powers 10^k: k = 16 - e, e two off either end
 _E_OFF = 330  # index of decimal exponent e in the exponent tables: e + _E_OFF
@@ -36,7 +38,7 @@ def write_rows(fh, x: np.ndarray, t: np.ndarray, values: np.ndarray) -> None:
     u = values[j, i] at (x[i], t[j]).  Each x and each t is formatted once;
     u is formatted in blocks of whole time levels, or of part of one level
     when a level holds more than a block."""
-    xs, ts = _column(x, b","), _column(t, b",")
+    xs, ts = _column(x), _column(t)
     nt, nx = values.shape
     cols = max(1, min(nx, BLOCK))
     levels = max(1, BLOCK // cols)
@@ -59,11 +61,11 @@ def format_g17(values) -> bytes:
                     for i in range(0, v.size, BLOCK))
 
 
-def _column(values: np.ndarray, sep: bytes) -> np.ndarray:
-    """One uint8 row per value: its '%.17g' text and sep, then NUL padding."""
+def _column(values: np.ndarray) -> np.ndarray:
+    """One uint8 row per value: its '%.17g' text and a comma, then NUL padding."""
     lines = format_g17(values).split(b"\n")[:-1]
-    width = max(map(len, lines), default=0) + len(sep)
-    padded = b"".join(line + sep + b"\0" * (width - len(sep) - len(line)) for line in lines)
+    width = max(map(len, lines), default=0) + 1
+    padded = b"".join(line + b"," + b"\0" * (width - 1 - len(line)) for line in lines)
     return np.frombuffer(padded, np.uint8).reshape(len(lines), width)
 
 
@@ -93,26 +95,28 @@ def _tables() -> SimpleNamespace:
     hi = np.array(his)
     c = _SPLIT * hi
     g = np.arange(10000)
-    digit = [48 + g // 10 ** (3 - m) % 10 for m in range(4)]
     sig = 4 - sum(g % 10**m == 0 for m in range(1, 4)) - (g == 0)  # digits to the last nonzero
-    n = np.arange(17)
+    n = np.arange(17)  # a digit index 0-16: `last`, or the digit a dot follows
     e = np.arange(-_E_OFF, 310)
     lead = (e < 0) & (e >= -4)
     sci = (e < -4) | (e >= 17)
     ae = np.abs(e)
     return SimpleNamespace(
         hi=hi, hi_hi=c - (c - hi), lo=np.array(los),
-        # a group of four digits: "d\0d\0d\0d\0"
-        group=_pack([digit[0], 0, digit[1], 0, digit[2], 0, digit[3], 0]),
+        # a group of four digits in the low four bytes: "dddd"
+        group=_pack([48 + g // 10 ** (3 - m) % 10 for m in range(4)]),
         # last[w][g]: the index (1-16) of group w's last nonzero digit, 0 for none
         last=[np.where(sig > 0, 4 * w + sig, 0).astype(np.uint8) for w in range(4)],
         # keep[w][last]: the mask of word w + 1's digits up to digit `last`
-        keep=[_pack([(4 * w + m // 2 < n) * 255 * (m % 2 == 0) for m in range(8)])
-              for w in range(4)],
+        keep=[_pack([(8 * w + m < n) * 255 for m in range(8)]) for w in range(2)],
+        # after[w][j], dot[w][j]: the mask of word w + 1's digits after digit j, and
+        # the '.' that takes the place of the first of them
+        after=[_pack([(8 * w + m >= n) * 255 for m in range(8)]) for w in range(2)],
+        dot=[_pack([(8 * w + m == n) * 46 for m in range(8)]) for w in range(2)],
         # word 0 without its sign: prefix[e + _E_OFF] | first[digit 0]
         prefix=_pack([0 * e, lead * 48, lead * 46, *((e <= -m) * lead * 48 for m in (2, 3, 4))]),
         first=np.arange(48, 58, dtype=_U64) << _U64(48),
-        exponent=_pack([sci * 101, sci * np.where(e < 0, 45, 43), sci * (ae >= 100) * (48 + ae // 100),
+        exponent=_pack([0 * e, sci * 101, sci * np.where(e < 0, 45, 43), sci * (ae >= 100) * (48 + ae // 100),
                         sci * (48 + ae // 10 % 10), sci * (48 + ae % 10), 0 * e + 10]),
     )
 
@@ -136,7 +140,7 @@ def _outside(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _words(v: np.ndarray) -> np.ndarray:
-    """The uint64 words of ('%.17g\\n' % x for x in v), six per value, laid out
+    """The uint64 words of ('%.17g\\n' % x for x in v), four per value, laid out
     as the module docstring says."""
     tab = _tables()
     a = np.abs(v)
@@ -169,15 +173,25 @@ def _words(v: np.ndarray) -> np.ndarray:
     fixed = (e >= -4) & (e < 17)  # written without an exponent
     dot = np.where(fixed, e, 0)  # the digit the '.' follows, if a digit follows it
     last = np.maximum(last, dot)  # the integer part is written in full
-    dotted = np.flatnonzero((last > dot) & (dot >= 0))
+    dotted = last > dot
     ei = e + _E_OFF
     words = np.empty((v.size, _WIDTH // 8), "<u8")  # byte m of a word is memory byte m
-    words[:, 0] = np.signbit(v) * _U64(ord("-")) | tab.prefix[ei] | tab.first[d0]
-    for w, g in enumerate(groups):
-        np.bitwise_and(tab.group[g], tab.keep[w][last], out=words[:, w + 1])
-    words[:, 5] = tab.exponent[ei]
-    # digit j's dot slot is byte 7 + 2 j of its value's 48
-    words.view(np.uint8).reshape(-1)[dotted * _WIDTH + 7 + 2 * dot[dotted]] = ord(".")
+    words[:, 0] = (np.signbit(v) * _U64(ord("-")) | tab.prefix[ei] | tab.first[d0]
+                   | (dotted & (dot == 0)) * _U64(ord(".") << 56))
+    for w in range(2):
+        digits = tab.group[groups[2 * w]] | tab.group[groups[2 * w + 1]] << _U64(32)
+        np.bitwise_and(digits, tab.keep[w][last], out=words[:, w + 1])
+    words[:, 3] = tab.exponent[ei]
+    # a dot after digit j of 1-15: the digits after it move one byte on, the
+    # last of them into word 3
+    inner = np.flatnonzero(dotted & (dot > 0))
+    if inner.size:
+        j = dot[inner]
+        w1, w2 = words[inner, 1], words[inner, 2]
+        a1, a2 = w1 & tab.after[0][j], w2 & tab.after[1][j]
+        words[inner, 1] = w1 ^ a1 | a1 << _U64(8) | tab.dot[0][j]
+        words[inner, 2] = w2 ^ a2 | a2 << _U64(8) | a1 >> _U64(56) | tab.dot[1][j]
+        words[inner, 3] |= a2 >> _U64(56)
     for i in np.flatnonzero(slow).tolist():
         row = words[i].view(np.uint8)
         text = b"%.17g\n" % v[i]
