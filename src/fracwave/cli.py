@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .core import DomainError, FractionalOrder, QuadratureError, Tolerance
+from .core import DomainError, QuadratureError, Tolerance
 from .expr import EvaluationError, ParseError, parse
 from .solver import (
     MIN_GRID_POINTS,
@@ -186,7 +186,7 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     # the key left is abs_tol; Tolerance supplies the default
     tol_args = {key: _require_number(quad, key) for key in quad}
     try:
-        problem = WaveProblem(FractionalOrder(alpha), c, exprs["f"], exprs["g"], x_max, t_max)
+        problem = WaveProblem(alpha, c, exprs["f"], exprs["g"], x_max, t_max)
         solution = ClosedFormSolution(raw.get("equation", "dalembert"), problem,
                                       Tolerance(**tol_args))
     except (DomainError, EvaluationError) as exc:
@@ -283,15 +283,14 @@ def _write_order_fields(pf: ProblemFile, alphas, outdir: Path, prefix: str) -> N
     outdir.mkdir(parents=True, exist_ok=True)
     sol = pf.solution
     for alpha in alphas:
-        sub = replace(sol, problem=replace(sol.problem, order=FractionalOrder(alpha)))
+        sub = replace(sol, problem=replace(sol.problem, order=alpha))
         field = evaluate_field(sub, pf.nx, pf.nt)
         write_field_csv(field, outdir / _order_csv_name(prefix, alpha))
 
 
 def cmd_figures(args) -> int:
     for example, f in enumerate(WORKED_EXAMPLES, start=1):  # the order is set per field
-        problem = WaveProblem(FractionalOrder(FIGURE_ALPHAS[0]), 1.0, f, EXAMPLE_G,
-                              2.0 * math.pi, 2.0 * math.pi)
+        problem = WaveProblem(FIGURE_ALPHAS[0], 1.0, f, EXAMPLE_G, 2.0 * math.pi, 2.0 * math.pi)
         pf = _with_flags(ProblemFile(solve_dalembert(problem, Tolerance(FIGURES_TOL)), 65, 65),
                          args)
         _write_order_fields(pf, FIGURE_ALPHAS, Path(args.out), f"example{example}_alpha")

@@ -13,8 +13,8 @@ slots and NUL in the slots it leaves unused:
 Deleting the NULs (bytes.translate) leaves the text.  The 17 digits come from
 |v| * 10^(16 - e) in double-double arithmetic: an exact product with a (hi, lo)
 power of ten, rounded once.  A value that this cannot decide exactly -- zero,
-|v| outside [1e-270, 1e270), a fraction within 1e-6 of a tie, an exponent not
-settled in three passes -- is formatted by '%.17g' % v alone.
+|v| outside [1e-270, 1e270), a fraction within 1e-6 of a tie, an exponent
+one correction step does not settle -- is formatted by '%.17g' % v alone.
 """
 
 from __future__ import annotations
@@ -149,12 +149,10 @@ def _words(v: np.ndarray) -> np.ndarray:
     c = _SPLIT * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    e = np.floor(np.log10(a)).astype(np.intp)  # an estimate: the passes settle it
+    e = np.floor(np.log10(a)).astype(np.intp)  # at most one off: one step corrects it
     p, r = _scaled(tab, a, a_hi, a_lo, e)
     off = np.flatnonzero(_outside(p, r))
-    for _ in range(2):
-        if off.size == 0:
-            break
+    if off.size:
         e[off] += np.where(p[off] >= 1e17, 1, -1)
         p[off], r[off] = _scaled(tab, a[off], a_hi[off], a_lo[off], e[off])
         off = off[_outside(p[off], r[off])]

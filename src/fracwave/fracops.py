@@ -37,16 +37,12 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(eq=False)
 class Samples1D:
     """Uniform samples of a function on [x0, x0 + n*dx]; values has length n+1."""
 
-    x0: float
-    dx: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, x0: float, dx: float, values) -> None:
+        self.x0, self.dx = x0, dx
+        self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 3:
             raise DomainError("Samples1D needs at least 3 values (n >= 2)")
         if not (self.dx > 0.0 and math.isfinite(self.dx)):

@@ -338,18 +338,13 @@ def solve_dalembert(problem: WaveProblem, tol: Tolerance = Tolerance()) -> Close
 # --- dense evaluation ---------------------------------------------------------
 
 
-@dataclass(eq=False)
 class Field2D:
     """Dense samples u(x_i, t_j); values[j, i] pairs row j with time t_j."""
 
-    x: np.ndarray
-    t: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.t = np.asarray(self.t, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, x, t, values) -> None:
+        self.x = np.asarray(x, dtype=float)
+        self.t = np.asarray(t, dtype=float)
+        self.values = np.asarray(values, dtype=float)
         if self.values.shape != (self.t.size, self.x.size):
             raise DomainError(
                 f"field shape {self.values.shape} does not match grids "
