@@ -61,10 +61,10 @@ class Samples1D:
 
 def _operand(f: IntegrandLike, order: FractionalOrder | float, x: float) -> tuple[Callable, float]:
     """The entry step of every pointwise operator: f as a callable and the
-    order's alpha, once x is known to lie right of the terminal 0."""
+    order's alpha, once x is known to be finite and right of the terminal 0."""
     alpha = as_order(order).alpha
-    if x < 0.0:
-        raise DomainError(f"lower terminal is 0; x must be >= 0, got {x!r}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"lower terminal is 0; x must be >= 0 and finite, got {x!r}")
     return (f if callable(f) else lambda xs: evaluate(f, xs)), alpha
 
 

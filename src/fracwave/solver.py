@@ -219,8 +219,11 @@ def characteristic_constant(
     """Invariant of the characteristic curve through (x, t):
     (x^alpha - c^alpha t^alpha) / gamma(1 + alpha)."""
     alpha = as_order(order).alpha
-    if x < 0.0 or t < 0.0:
-        raise DomainError("characteristics are defined on x >= 0, t >= 0")
+    if not (0.0 <= x < math.inf and 0.0 <= t < math.inf):
+        raise DomainError(f"characteristics are defined on finite x >= 0, t >= 0; "
+                          f"got ({x!r}, {t!r})")
+    if not (math.isfinite(c) and c > 0.0):
+        raise DomainError(f"wave speed c must be finite and > 0, got {c!r}")
     return float(fractal_scale(x, alpha) - c ** alpha * fractal_scale(t, alpha))
 
 

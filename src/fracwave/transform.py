@@ -9,6 +9,7 @@ quadrant; negative coordinates are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -27,10 +28,10 @@ class TransformSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", as_order(self.order))
-        if not self.p > 0.0:
-            raise DomainError(f"space scale factor p must be > 0, got {self.p!r}")
-        if not self.q > 0.0:
-            raise DomainError(f"time scale factor q must be > 0, got {self.q!r}")
+        if not 0.0 < self.p < math.inf:
+            raise DomainError(f"space scale factor p must be finite and > 0, got {self.p!r}")
+        if not 0.0 < self.q < math.inf:
+            raise DomainError(f"time scale factor q must be finite and > 0, got {self.q!r}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,9 @@ class FractalCoords:
     T: float
 
     def __post_init__(self) -> None:
-        if self.X < 0.0 or self.T < 0.0:
-            raise DomainError("scaled coordinates are non-negative by construction")
+        if not (0.0 <= self.X < math.inf and 0.0 <= self.T < math.inf):
+            raise DomainError(f"scaled coordinates are finite and non-negative, "
+                              f"got ({self.X!r}, {self.T!r})")
 
 
 def fractal_scale(v, alpha: float):
@@ -50,9 +52,9 @@ def fractal_scale(v, alpha: float):
 
 
 def to_fractal(x: float, t: float, spec: TransformSpec) -> FractalCoords:
-    """Map physical (x, t) with x, t >= 0 into the scaled frame."""
-    if x < 0.0 or t < 0.0:
-        raise DomainError(f"transform domain is x >= 0, t >= 0; got ({x!r}, {t!r})")
+    """Map physical (x, t) with finite x, t >= 0 into the scaled frame."""
+    if not (0.0 <= x < math.inf and 0.0 <= t < math.inf):
+        raise DomainError(f"transform domain is finite x >= 0, t >= 0; got ({x!r}, {t!r})")
     alpha = spec.order.alpha
     return FractalCoords(
         float(fractal_scale(spec.p * x, alpha)), float(fractal_scale(spec.q * t, alpha))
@@ -60,11 +62,17 @@ def to_fractal(x: float, t: float, spec: TransformSpec) -> FractalCoords:
 
 
 def from_fractal(coords: FractalCoords, spec: TransformSpec) -> tuple[float, float]:
-    """Inverse map; exact round-trip partner of to_fractal up to rounding."""
+    """Inverse map; exact round-trip partner of to_fractal up to rounding.
+    Raises DomainError when x or t is beyond the range of a double."""
     alpha = spec.order.alpha
     g = gamma(1.0 + alpha)
-    x = (g * coords.X) ** (1.0 / alpha) / spec.p
-    t = (g * coords.T) ** (1.0 / alpha) / spec.q
+    try:
+        x = (g * coords.X) ** (1.0 / alpha) / spec.p
+        t = (g * coords.T) ** (1.0 / alpha) / spec.q
+    except OverflowError:  # from **; a division overflows to inf
+        x = t = math.inf
+    if math.isinf(x) or math.isinf(t):
+        raise DomainError(f"{coords} maps beyond the range of a double at alpha = {alpha!r}")
     return x, t
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,12 +89,15 @@ class TestRlIntegral:
         assert "\n" not in message and "33 of 33 integrals are not finite" in message
 
     def test_negative_x_rejected(self):
-        # every pointwise operator refuses x < 0 before it evaluates f: 1/x
-        # would raise an EvaluationError at f(0)
+        # every pointwise operator refuses x < 0, inf and nan before it
+        # evaluates f, with no warning: 1/x would raise an EvaluationError at f(0)
         for op in (rl_integral, rl_derivative, jumarie_derivative, caputo_derivative,
                    integral_dx_alpha):
-            with pytest.raises(DomainError, match="x must be >= 0"):
-                op(parse("1/x"), 0.5, -1.0, CFG)
+            for x in (-1.0, math.inf, math.nan):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DomainError, match="x must be >= 0"):
+                        op(parse("1/x"), 0.5, x, CFG)
 
 
 # operands of the bitwise definition checks: expressions, and a callable of

@@ -183,10 +183,16 @@ class TestCharacteristicConstant:
     def test_origin(self):
         assert characteristic_constant(0.0, 0.0, 0.7, 1.0) == 0.0
 
-    @pytest.mark.parametrize("x, t", [(-1.0, 0.0), (0.0, -1.0)])
+    @pytest.mark.parametrize("x, t", [(-1.0, 0.0), (0.0, -1.0), (math.inf, 0.0),
+                                      (math.nan, 0.0), (0.0, math.inf)])
     def test_rejects_negative_coordinates(self, x, t):
         with pytest.raises(DomainError, match="x >= 0, t >= 0"):
             characteristic_constant(x, t, 0.7, 1.0)
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_speed(self, c):
+        with pytest.raises(DomainError, match="wave speed c must be finite and > 0"):
+            characteristic_constant(1.0, 1.0, 0.5, c)
 
     def test_classical(self):
         assert characteristic_constant(5.0, 2.0, 1.0, 1.0) == pytest.approx(3.0, rel=1e-14)

@@ -21,12 +21,14 @@ def spec(alpha, p=1.0, q=1.0):
 
 class TestValidation:
     @pytest.mark.parametrize("p, q, named", [(0.0, 1.0, "space"), (-1.0, 1.0, "space"),
-                                             (1.0, 0.0, "time"), (1.0, -2.0, "time")])
+                                             (math.inf, 1.0, "space"), (math.nan, 1.0, "space"),
+                                             (1.0, 0.0, "time"), (1.0, -2.0, "time"),
+                                             (1.0, math.inf, "time"), (1.0, math.nan, "time")])
     def test_spec_rejects_non_positive_scale_factors(self, p, q, named):
         with pytest.raises(DomainError, match=f"{named} scale factor"):
             spec(0.5, p, q)
 
-    @pytest.mark.parametrize("X, T", [(-1.0, 0.0), (0.0, -1.0)])
+    @pytest.mark.parametrize("X, T", [(-1.0, 0.0), (0.0, -1.0), (math.inf, 0.0), (0.0, math.nan)])
     def test_coords_reject_negative_values(self, X, T):
         with pytest.raises(DomainError, match="non-negative"):
             FractalCoords(X, T)
@@ -48,11 +50,15 @@ class TestToFractal:
         assert coords.X == pytest.approx(2.0 / math.gamma(1.5), rel=1e-13)
         assert coords.X == pytest.approx(2.256758334191025, rel=1e-13)
 
-    def test_rejects_negative_coordinates(self):
-        with pytest.raises(DomainError):
-            to_fractal(-0.1, 0.0, spec(0.5))
-        with pytest.raises(DomainError):
-            to_fractal(0.0, -2.0, spec(0.5))
+    @pytest.mark.parametrize("x, t", [(-0.1, 0.0), (0.0, -2.0), (math.nan, 0.0),
+                                      (0.0, math.inf)])
+    def test_rejects_negative_coordinates(self, x, t):
+        with pytest.raises(DomainError, match="x >= 0, t >= 0"):
+            to_fractal(x, t, spec(0.5))
+
+    def test_rejects_coordinates_that_overflow(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            to_fractal(1e300, 0.0, spec(1.0, p=1e10))
 
     def test_monotone_in_each_coordinate(self):
         s = spec(0.7, p=1.5, q=0.5)
@@ -66,6 +72,14 @@ class TestToFractal:
 class TestFromFractal:
     def test_origin(self):
         assert from_fractal(FractalCoords(0.0, 0.0), spec(0.4)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("coords, s", [
+        (FractalCoords(1e5, 0.0), spec(0.01)),  # ** overflows
+        (FractalCoords(0.0, 1e300), spec(1.0, q=1e-10)),  # the division overflows
+    ], ids=["power", "division"])
+    def test_rejects_coordinates_beyond_a_double(self, coords, s):
+        with pytest.raises(DomainError, match="beyond the range of a double"):
+            from_fractal(coords, s)
 
     def test_inverse_of_forward_example(self):
         x, _ = from_fractal(FractalCoords(2.256758334191025, 0.0), spec(0.5))
