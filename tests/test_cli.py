@@ -628,13 +628,16 @@ def g17_edge_cases(rng) -> np.ndarray:
     # exact ties at the 17th digit: n.25 with 16 integer digits, n.125 with 15
     ties = np.concatenate([rng.integers(10**15, 2 * 10**15, 256) + 0.25,
                            rng.integers(10**14, 9 * 10**14, 256) + 0.125])
+    # 17 digits with the dot after digit j, for j = 0 to 15: each width of the
+    # kernel's byte shift, and the last digit, which the shift pushes into word 3
+    dots = np.array([float(f"1.2345678901234566e{j}") for j in range(16)])
     values = np.concatenate([
         [0.0, max_double, tiny, np.nextafter(tiny, 0.0), 5e-324],
         rng.integers(1, 2**52, 512) * 5e-324,  # subnormals
         bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf),
         powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
         [value for _, value in ROUNDS_UP_TO_A_POWER],
-        integers, np.nextafter(integers.astype(float), np.inf), ties,
+        integers, np.nextafter(integers.astype(float), np.inf), ties, dots,
     ])
     return np.concatenate([values, -values])
 
@@ -1164,3 +1167,12 @@ class TestModuleEntryPoint:
         child = run("bogus")
         assert child.returncode == EXIT_INPUT
         assert_one_error_line(child.stderr)
+
+    def test_import_defers_the_csv_kernel(self):
+        # cli imports fieldcsv on the first CSV write, so commands that write
+        # none (verify) do not compile it at start-up
+        env = os.environ | {"PYTHONPATH": str(Path(fracwave.__file__).resolve().parent.parent)}
+        code = "import sys, fracwave.cli; print('fracwave.fieldcsv' in sys.modules)"
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
