@@ -4,12 +4,11 @@ X = (p x)^alpha / gamma(1 + alpha), T = (q t)^alpha / gamma(1 + alpha).
 Under this substitution an alpha-order derivative in x acts as p^alpha times
 the ordinary derivative in X (and likewise in time), which is what turns the
 fractional wave equations into classical ones.  The domain is the closed first
-quadrant; negative coordinates are rejected.
+quadrant; negative and non-finite coordinates are rejected.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -28,9 +27,9 @@ class TransformSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", as_order(self.order))
-        if not 0.0 < self.p < math.inf:
+        if not 0.0 < self.p < np.inf:
             raise DomainError(f"space scale factor p must be finite and > 0, got {self.p!r}")
-        if not 0.0 < self.q < math.inf:
+        if not 0.0 < self.q < np.inf:
             raise DomainError(f"time scale factor q must be finite and > 0, got {self.q!r}")
 
 
@@ -40,7 +39,7 @@ class FractalCoords:
     T: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.X < math.inf and 0.0 <= self.T < math.inf):
+        if not (0.0 <= self.X < np.inf and 0.0 <= self.T < np.inf):
             raise DomainError(f"scaled coordinates are finite and non-negative, "
                               f"got ({self.X!r}, {self.T!r})")
 
@@ -53,7 +52,7 @@ def fractal_scale(v, alpha: float):
 
 def to_fractal(x: float, t: float, spec: TransformSpec) -> FractalCoords:
     """Map physical (x, t) with finite x, t >= 0 into the scaled frame."""
-    if not (0.0 <= x < math.inf and 0.0 <= t < math.inf):
+    if not (0.0 <= x < np.inf and 0.0 <= t < np.inf):
         raise DomainError(f"transform domain is finite x >= 0, t >= 0; got ({x!r}, {t!r})")
     alpha = spec.order.alpha
     return FractalCoords(
@@ -70,8 +69,8 @@ def from_fractal(coords: FractalCoords, spec: TransformSpec) -> tuple[float, flo
         x = (g * coords.X) ** (1.0 / alpha) / spec.p
         t = (g * coords.T) ** (1.0 / alpha) / spec.q
     except OverflowError:  # from **; a division overflows to inf
-        x = t = math.inf
-    if math.isinf(x) or math.isinf(t):
+        x = t = np.inf
+    if np.isinf(x) or np.isinf(t):
         raise DomainError(f"{coords} maps beyond the range of a double at alpha = {alpha!r}")
     return x, t
 
