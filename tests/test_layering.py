@@ -48,7 +48,7 @@ def unused_imports(source: str) -> set[str]:
         alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree)
         if isinstance(node, ast.Import)
-        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
         for alias in node.names
     }
     return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
