@@ -1149,15 +1149,15 @@ class TestGridFlagValidation:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_runs_main(self, tmp_path):
-        # `python -m fracwave.cli` is the command the benchmark times; the
-        # child imports fracwave from where this process did, by an absolute
-        # path, since a relative PYTHONPATH would not hold in its directory
-        env = os.environ | {"PYTHONPATH": str(Path(fracwave.__file__).resolve().parent.parent)}
+    # a child imports fracwave from where this process did, by an absolute
+    # path, since a relative PYTHONPATH would not hold in its directory
+    ENV = os.environ | {"PYTHONPATH": str(Path(fracwave.__file__).resolve().parent.parent)}
 
+    def test_python_dash_m_runs_main(self, tmp_path):
+        # `python -m fracwave.cli` is the command the benchmark times
         def run(*argv):
             return subprocess.run([sys.executable, "-m", "fracwave.cli", *argv], cwd=tmp_path,
-                                  env=env, capture_output=True, text=True)
+                                  env=self.ENV, capture_output=True, text=True)
 
         path, flags = SHIPPED[0].parent / "example1.yaml", ["--nx", "9", "--nt", "9"]
         child = run("solve", str(path), *flags, "--out", "child.csv")
@@ -1171,8 +1171,7 @@ class TestModuleEntryPoint:
     def test_import_defers_the_csv_kernel(self):
         # cli imports fieldcsv on the first CSV write, so commands that write
         # none (verify) do not compile it at start-up
-        env = os.environ | {"PYTHONPATH": str(Path(fracwave.__file__).resolve().parent.parent)}
         code = "import sys, fracwave.cli; print('fracwave.fieldcsv' in sys.modules)"
-        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        child = subprocess.run([sys.executable, "-c", code], env=self.ENV, capture_output=True,
                                text=True)
         assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
