@@ -7,6 +7,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = [
+    "DomainError", "FractionalOrder", "QuadratureError", "Tolerance", "as_order",
+    "euler_power_coefficient", "gamma",
+]
+
 
 class DomainError(ValueError):
     """Raised when an argument lies outside the mathematical domain of an operation."""

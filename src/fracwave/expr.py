@@ -15,6 +15,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+__all__ = ["EvaluationError", "Expression", "ParseError", "evaluate", "parse", "to_text"]
+
 
 class ParseError(ValueError):
     """Syntax or identifier error, annotated with the offending position."""

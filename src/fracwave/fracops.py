@@ -20,6 +20,11 @@ import numpy as np
 from .core import DomainError, FractionalOrder, QuadratureError, as_order, gamma
 from .expr import Expression, evaluate
 
+__all__ = [
+    "QuadratureConfig", "Samples1D", "caputo_derivative", "integral_dx_alpha",
+    "jumarie_derivative", "jumarie_derivative_grid", "rl_derivative", "rl_integral",
+]
+
 IntegrandLike = Union[Expression, Callable]
 
 

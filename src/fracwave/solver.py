@@ -53,11 +53,15 @@ from dataclasses import dataclass
 from typing import Literal as TypingLiteral
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint
 
 from .core import DomainError, FractionalOrder, QuadratureError, Tolerance, as_order
 from .expr import EvaluationError, Expression, evaluate, to_text
 from .transform import fractal_scale
+
+__all__ = [
+    "ClosedFormSolution", "Field2D", "WaveProblem", "characteristic_constant",
+    "evaluate_field", "g_integral", "solve_dalembert", "solve_first_order",
+]
 
 _CHUNK = 4096  # grid points per evaluation batch; bounds memory, results do not depend on it
 _TABLE_CELLS = 1024  # cells of the velocity antiderivative table
@@ -80,6 +84,9 @@ def _velocity_table(
 
     A failure names g and [lo, hi]; the exception keeps its type and
     attributes."""
+    # imported on first use: first-order commands build no table, so never load numpy.polynomial
+    from numpy.polynomial.chebyshev import chebint
+
     fn = functools.partial(evaluate, g)  # per call: a wrapper installed on evaluate sees it
     eps = np.finfo(float).eps
     try:

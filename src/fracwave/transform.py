@@ -16,6 +16,8 @@ import numpy as np
 
 from .core import DomainError, FractionalOrder, as_order, gamma
 
+__all__ = ["FractalCoords", "TransformSpec", "from_fractal", "operator_scale", "to_fractal"]
+
 
 @dataclass(frozen=True)
 class TransformSpec:

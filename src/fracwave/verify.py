@@ -29,6 +29,11 @@ from .solver import (
 )
 from .transform import fractal_scale
 
+__all__ = [
+    "InitialConditionReport", "ResidualReport", "StabilityReport", "check_initial_conditions",
+    "pde_residual", "route_equivalence", "stability_check",
+]
+
 RESIDUAL_FLOOR = 1e-8  # below this, refinement levels count as converged
 MIN_RESIDUAL_CELLS = 32  # per axis, for the coarsest level of pde_residual
 RESIDUAL_BASE_CELLS = 64  # per axis, the coarsest level that fracwave verify studies

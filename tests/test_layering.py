@@ -1,17 +1,20 @@
 """The package's module layering, read from the sources with ast: core
 imports nothing from the package, the closed-form solver depends on no
-operator, verification or front-end module, and no module imports a name it
-never uses."""
+operator, verification or front-end module, no module imports a name it
+never uses, and the package's public names are its modules' __all__ lists,
+each named in README's Library section."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import fracwave
-from fracwave import core, fracops
+from fracwave import core, expr, fracops, solver, transform, verify
 
-SOURCES = Path(__file__).resolve().parent.parent / "src" / "fracwave"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "src" / "fracwave"
 
 
 def package_imports(source: str) -> set[str]:
@@ -75,7 +78,7 @@ def test_import_reader_sees_every_form():
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = {path.stem: unused_imports(path.read_text()) for path in SOURCES.glob("*.py")}
-    unused["__init__"] -= set(fracwave.__all__)  # re-exported, not read
+    unused["__init__"] -= {"*"}  # the star imports re-export each module's __all__
     assert {stem: names for stem, names in unused.items() if names} == {}
 
 
@@ -85,13 +88,25 @@ def test_unused_import_reader_sees_every_form():
     assert unused_imports("from __future__ import annotations\n") == set()
     assert unused_imports("from .core import A, B as C\ndef f(x: A):\n    return x\n") == {"C"}
     assert unused_imports("def f():\n    from . import fieldcsv\n    fieldcsv.BLOCK\n") == set()
+    assert unused_imports("from .core import *\n") == {"*"}
 
 
 def test_every_public_name_resolves_once():
-    # the names re-exported from the package keep working
-    assert len(set(fracwave.__all__)) == len(fracwave.__all__)
-    for name in fracwave.__all__:
-        getattr(fracwave, name)
+    # the package's names are its modules' __all__ lists, in module order,
+    # each name in one list and each the object its module defines
+    modules = (core, expr, fracops, solver, transform, verify)
+    names = [name for module in modules for name in module.__all__]
+    assert fracwave.__all__ == names + ["__version__"]
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fracwave, name) is getattr(module, name)
+
+
+def test_readme_library_section_names_every_public_name():
+    library = (ROOT / "README.md").read_text().split("\n## Library\n")[1].split("\n## ")[0]
+    names = [name for name in fracwave.__all__ if name != "__version__"]
+    assert [name for name in names if not re.search(rf"\b{name}\b", library)] == []
 
 
 def test_quadrature_error_has_one_class():
